@@ -12,16 +12,16 @@ eight score tasks) through the plan-based engine under:
 * ``plan_threads_warm``-- thread-pool scheduler, warmed caches (the
   interactive-debugging configuration).
 * ``plan_serial_cold_store`` / ``plan_processes_cold`` -- store-backed
-  cold runs, serial vs. the shard-parallel process pool writing worker
-  shards through the store (the cold-extraction configuration
-  ``default_scheduler`` picks on a multi-core host).
+  cold runs, serial vs. the opt-in shard-parallel process pool writing
+  worker shards through the store (``default_scheduler`` picks serial on
+  every host unless ``REPRO_SCHEDULER`` names a pool).
 
 Results are printed and written to ``BENCH_pipeline.json`` so CI can smoke
 check that the parallel scheduler and the warm cache are not slower than
 serial/cold, and that warm + parallel beats the seed pipeline outright.
 On hosts with at least four cores the process pool must beat the
 store-backed serial cold run by 2x; single- and dual-core hosts skip that
-gate (the pool cannot win there, and ``default_scheduler`` knows it).
+gate (the pool cannot win there).
 """
 
 from __future__ import annotations

@@ -17,15 +17,16 @@ query-optimizable workload:
   a converged column freezes its scores and drops out of ``process_block``
   compute, instead of the coarse max-over-all-pairs criterion.
 * :class:`Scheduler` — executes independent operator invocations.  The
-  serial scheduler reproduces single-threaded execution exactly; the
-  thread-pool scheduler parallelizes unit extraction across (model,
-  extractor) pairs and score updates across tasks (numpy releases the GIL,
-  so multi-model workloads scale across cores) while producing bit-identical
-  results.  The process-pool scheduler goes further: cold extraction is
-  *described* as picklable shard tasks (:mod:`repro.core.shard`) and
-  executed across worker processes, with the mmap'd disk store as the
-  exchange medium — scoring stays on the coordinator, so frames remain
-  bit-identical to serial there too.
+  serial scheduler reproduces single-threaded execution exactly and is
+  what every run gets unless a caller (or ``REPRO_SCHEDULER``) asks for a
+  pool (:func:`default_scheduler`).  The opt-in thread-pool scheduler
+  parallelizes unit extraction across (model, extractor) pairs and score
+  updates across tasks (numpy releases the GIL) while producing
+  bit-identical results.  The opt-in process-pool scheduler goes further:
+  cold extraction is *described* as picklable shard tasks
+  (:mod:`repro.core.shard`) and executed across worker processes, with
+  the mmap'd disk store as the exchange medium — scoring stays on the
+  coordinator, so frames remain bit-identical to serial there too.
 
 Wall-clock is charged to ``unit_extraction``, ``hypothesis_extraction`` and
 ``inspection`` buckets, reproducing Figure 8's runtime breakdown.
@@ -40,7 +41,7 @@ import os
 import shutil
 import tempfile
 import threading
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,50 +76,12 @@ class Scheduler:
 
     ``map`` must return results in input order, so plans produce identical
     frames under every scheduler.
-
-    Beyond bare ``map``, schedulers expose a *task-graph surface* for
-    shard-parallel extraction: a scheduler with ``executes_shards = True``
-    accepts self-contained :class:`~repro.core.shard.ShardTask` values via
-    :meth:`submit_shards` and runs them out of process.  In-process
-    schedulers keep the flag off and the plan executor never builds shard
-    tasks for them — closures over live objects remain the fast path.
     """
 
     name = "scheduler"
 
-    #: whether submit_shards dispatches picklable shard tasks to workers
-    executes_shards = False
-
-    #: whether submit() overlaps work with the caller — the block
-    #: executor's double-buffered prefetch only arms on schedulers that
-    #: actually run the submitted sweep concurrently
-    supports_prefetch = False
-
     def map(self, fn, items: list) -> list:
         raise NotImplementedError
-
-    def submit(self, fn) -> Future:
-        """Run ``fn()`` and return a Future over its result.
-
-        The base implementation executes inline at submit time (no
-        concurrency, identical scheduling to plain calls); overlapping
-        schedulers override this to hand the thunk to a worker.
-        """
-        future: Future = Future()
-        try:
-            future.set_result(fn())
-        except BaseException as exc:  # surfaced at .result(), like a pool's
-            future.set_exception(exc)
-        return future
-
-    def shard_workers(self) -> int:
-        """Worker slots available to shard tasks (sizes task chunking)."""
-        return 1
-
-    def submit_shards(self, tasks: list) -> list:
-        """Submit shard tasks; returns one future per task."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not execute shard tasks")
 
     def shutdown(self) -> None:
         pass
@@ -149,7 +112,6 @@ class ThreadPoolScheduler(Scheduler):
     """
 
     name = "threads"
-    supports_prefetch = True
 
     def __init__(self, max_workers: int | None = None):
         self.max_workers = max_workers or min(8, os.cpu_count() or 1)
@@ -166,12 +128,6 @@ class ThreadPoolScheduler(Scheduler):
         if len(items) <= 1 or self.max_workers <= 1:
             return [fn(item) for item in items]
         return list(self._ensure_pool().map(fn, items))
-
-    def submit(self, fn) -> Future:
-        # always through the pool: even a 1-worker pool overlaps a
-        # prefetched sweep with the caller's scoring (numpy releases the
-        # GIL inside BLAS and ufunc loops)
-        return self._ensure_pool().submit(fn)
 
     def _ensure_pool(self) -> ThreadPoolExecutor:
         with self._pool_lock:
@@ -194,7 +150,9 @@ class ProcessPoolScheduler(Scheduler):
     sweeps and write shard files into the exchange store; the coordinator
     mmaps the results back into the memory-tier caches and runs scoring
     inline (``map`` stays serial on the calling thread), so frames are
-    bit-identical to the serial scheduler's.
+    bit-identical to the serial scheduler's.  The shard surface
+    (:meth:`shard_workers`, :meth:`submit_shards`) lives only here;
+    :class:`~repro.core.shard.ShardExchange` arms for this class alone.
 
     ``mp_context`` picks the multiprocessing start method (``"fork"``,
     ``"spawn"``, ``"forkserver"`` or a context object); tasks carry
@@ -206,7 +164,6 @@ class ProcessPoolScheduler(Scheduler):
     """
 
     name = "processes"
-    executes_shards = True
 
     def __init__(self, max_workers: int | None = None,
                  mp_context: str | None = None):
@@ -226,9 +183,11 @@ class ProcessPoolScheduler(Scheduler):
         return [fn(item) for item in items]
 
     def shard_workers(self) -> int:
+        """Worker slots available to shard tasks (sizes task chunking)."""
         return self.max_workers
 
     def submit_shards(self, tasks: list) -> list:
+        """Submit shard tasks; returns one future per task."""
         from repro.core.shard import run_shard_task
         with self._pool_lock:
             if self._pool is None:
@@ -263,31 +222,20 @@ class ProcessPoolScheduler(Scheduler):
 
 
 def default_scheduler(store: DiskBehaviorStore | None = None) -> Scheduler:
-    """The scheduler a session should run with on this machine.
+    """The scheduler a session runs with unless a caller pins one.
 
-    Selection rules:
-
-    * ``REPRO_SCHEDULER`` (``serial`` / ``threads`` / ``processes``)
-      overrides everything — the CI lever that forces the whole suite
-      through one scheduler.
-    * A single-core host gets the serial scheduler: neither pool can win
-      there, and GIL/spawn overhead makes both strictly slower.
-    * On a multi-core host *with* a disk store, cold store-backed runs
-      are the GIL-bound bottleneck, so the process pool is chosen: raw
-      sweeps fan out across cores and exchange through the store's
-      mmap'd shards.
-    * Multi-core without a store falls back to the thread pool — numpy
-      releases the GIL for scoring and multi-model extraction, and there
-      is no exchange medium for shard tasks to write through.
+    ``REPRO_SCHEDULER`` (``serial`` / ``threads`` / ``processes``) names
+    it when set — the CI lever that forces the whole suite through one
+    scheduler.  Otherwise every host runs :class:`SerialScheduler`, the
+    reference path: on the hosts measured (2 cores), neither pool beat
+    serial end to end.  The pools stay available as explicit opt-ins.
+    ``store`` is accepted for existing callers and does not affect the
+    choice.
     """
     forced = os.environ.get("REPRO_SCHEDULER", "").strip()
     if forced:
         return _resolve_scheduler(forced)[0]
-    if (os.cpu_count() or 1) <= 1:
-        return SerialScheduler()
-    if store is not None:
-        return ProcessPoolScheduler()
-    return ThreadPoolScheduler()
+    return SerialScheduler()
 
 
 _SCHEDULERS = {"serial": SerialScheduler, "threads": ThreadPoolScheduler,
@@ -333,10 +281,6 @@ class InspectConfig:
     scheduler: Scheduler | str | None = None  # None -> serial
     partition: bool = True      # per-hypothesis-column early stopping
     partition_min_rows: int = 0  # rows a state must see before freezing
-    #: double-buffered extraction: while block t scores, block t+1's raw
-    #: sweep runs on the scheduler (overlapping schedulers only; frames
-    #: stay bit-identical — see InspectionPlan._run_blocks)
-    prefetch: bool = True
     #: cross-query single-flight gate over cold raw sweeps.  Anything
     #: exposing ``lease(keys, cold=predicate) -> context manager`` works
     #: (the inspection server installs a
@@ -388,10 +332,10 @@ class InspectConfig:
         """A copy with unset sharing knobs filled from session defaults.
 
         The session layer keeps per-session caches, a persistent behavior
-        store and a thread-pool scheduler; a config that did not pin those
-        fields inherits them, so repeated queries in one session share
-        extracted behaviors (and across sessions, through the store), while
-        an explicitly-configured run is left untouched.  The operation is
+        store and one scheduler; a config that did not pin those fields
+        inherits them, so repeated queries in one session share extracted
+        behaviors (and across sessions, through the store), while an
+        explicitly-configured run is left untouched.  The operation is
         idempotent: fields filled by one call are pinned, so a second call
         (with the same or another session's defaults) changes nothing.
         """
@@ -1026,22 +970,6 @@ class InspectionPlan:
             if owned:
                 scheduler.shutdown()
 
-    def execute_progressive(self):
-        """Generator over per-block result snapshots (Section 5.2.3).
-
-        Yields the full outcome list after every processed block, so
-        interactive callers watch scores refine as blocks arrive; the final
-        snapshot is exactly :meth:`execute`'s return value (same loop, same
-        states, same order).  Abandoning the generator stops the run
-        cleanly: the store scope flushes and an owned scheduler shuts down
-        on ``close()``, and no further extraction happens.
-        """
-        # closing(): GeneratorExit at our yield must still run the inner
-        # generator's cleanup promptly (store flush, owned-pool shutdown)
-        with contextlib.closing(self.execute_blocks()) as steps:
-            for _ in steps:
-                yield self.outcomes()
-
     def outcomes(self) -> list[GroupMeasureOutcome]:
         """Current (possibly partial) outcome snapshot of every task."""
         names = [h.name for h in self.hypotheses]
@@ -1050,7 +978,7 @@ class InspectionPlan:
     def _block_steps(self, scheduler: Scheduler):
         """The executor loop; yields once after each processed block.
 
-        With a shard-executing scheduler, cold extraction is dispatched
+        With a :class:`ProcessPoolScheduler`, cold extraction is dispatched
         to worker processes up front (:class:`~repro.core.shard
         .ShardExchange`) and integrated just-in-time per block; the loop
         below then reads everything out of the (now warm) caches, so the
@@ -1074,106 +1002,56 @@ class InspectionPlan:
 
     def _run_blocks(self, scheduler: Scheduler, exchange, watch,
                     n_hyps: int):
-        """The per-block loop, double-buffered on overlapping schedulers.
+        """The per-block loop: extract, score, yield — in that order.
 
-        With ``config.prefetch`` on and a scheduler whose :meth:`Scheduler
-        .submit` runs concurrently, block t+1's raw unit sweep is submitted
-        before block t's scoring starts, so extraction BLAS and measure
-        BLAS overlap.  Invariants:
-
-        * **Frames are bit-identical** to serial execution: block order,
-          per-block record slices and the per-group behavior values are
-          unchanged — a prefetched sweep covers the groups pending at
-          launch time, a superset of those pending at consumption (the
-          pending set shrinks monotonically), and each group's block is
-          independent of which other groups share the extraction call.
-        * **Counters are exact** while every prefetched block is consumed:
-          the consumed future *is* the block's extraction (the loop does
-          not re-probe the caches), so cache hit/miss/extraction and model
-          forward counts match serial execution.  Only a run whose tasks
-          all converge exactly at a block boundary pays one speculative
-          sweep serial execution would have skipped — the same surplus the
-          process scheduler's up-front shard dispatch already accepts.
-        * Shard-exchange runs keep their own overlap (``exchange`` already
-          dispatched all cold work to worker processes), and materialized
-          runs extracted everything in :meth:`BehaviorSource.prepare`, so
-          both leave prefetch off.
-
-        The background sweep runs with a serial scheduler (no nested pool
-        fan-out from inside a worker) and a throwaway stopwatch; the main
-        thread charges only its await-stall to ``unit_extraction``.
+        Nothing runs ahead of the consumer: block t+1 is neither extracted
+        nor scored until the generator resumes after yielding block t, so
+        an abandoned stream pays only for the blocks it consumed.  (A
+        shard exchange is the one exception: it dispatched all cold work
+        to worker processes before the first block.)
         """
         self.source.prepare(scheduler, watch)
-        slices = list(self.source.block_slices())
-        use_prefetch = (self.config.prefetch
-                        and scheduler.supports_prefetch
-                        and not self.source.materialize
-                        and exchange is None)
-        prefetched: tuple[int, Future] | None = None
-        try:
-            for bi, sl in enumerate(slices):
-                pending = [t for t in self.tasks if not t.done]
-                if not pending:
-                    break
-                if exchange is not None:
-                    exchange.ensure(sl, watch)
-                # hypothesis columns frozen in *every* pending task need no
-                # further extraction (streaming only; materialized already
-                # paid)
-                cols_union = None
-                if not self.source.materialize:
-                    if any(t.active_cols.shape[0] < n_hyps for t in pending):
-                        cols_union = np.unique(np.concatenate(
-                            [t.active_cols for t in pending]))
-                        if cols_union.shape[0] == n_hyps:
-                            cols_union = None
-                h_block = self.source.hypothesis_block(sl, watch,
-                                                       columns=cols_union)
+        for sl in self.source.block_slices():
+            pending = [t for t in self.tasks if not t.done]
+            if not pending:
+                break
+            if exchange is not None:
+                exchange.ensure(sl, watch)
+            # hypothesis columns frozen in *every* pending task need no
+            # further extraction (streaming only; materialized already paid)
+            cols_union = None
+            if not self.source.materialize:
+                if any(t.active_cols.shape[0] < n_hyps for t in pending):
+                    cols_union = np.unique(np.concatenate(
+                        [t.active_cols for t in pending]))
+                    if cols_union.shape[0] == n_hyps:
+                        cols_union = None
+            h_block = self.source.hypothesis_block(sl, watch,
+                                                   columns=cols_union)
 
-                def h_for(task):
-                    """This task's active columns, within h_block."""
-                    if cols_union is None:
-                        if task.active_cols.shape[0] == n_hyps:
-                            return h_block
-                        return h_block[:, task.active_cols]
-                    local = np.searchsorted(cols_union, task.active_cols)
-                    if local.shape[0] == h_block.shape[1]:
+            def h_for(task):
+                """This task's active columns, within h_block."""
+                if cols_union is None:
+                    if task.active_cols.shape[0] == n_hyps:
                         return h_block
-                    return h_block[:, local]
+                    return h_block[:, task.active_cols]
+                local = np.searchsorted(cols_union, task.active_cols)
+                if local.shape[0] == h_block.shape[1]:
+                    return h_block
+                return h_block[:, local]
 
-                needed: dict[int, UnitGroup] = {}
-                for task in pending:
-                    needed.setdefault(task.gi, task.group)
-                needed_items = sorted(needed.items())
-                if prefetched is not None and prefetched[0] == bi:
-                    future = prefetched[1]
-                    prefetched = None
-                    with watch.charge("unit_extraction"):
-                        u_blocks = future.result()
-                else:
-                    u_blocks = self.source.unit_blocks(
-                        sl, needed_items, scheduler, watch)
-                if use_prefetch and bi + 1 < len(slices):
-                    nxt = slices[bi + 1]
-                    prefetched = (bi + 1, scheduler.submit(
-                        lambda sl=nxt, items=needed_items:
-                            self.source.unit_blocks(
-                                sl, items, SerialScheduler(), Stopwatch())))
-                n_records = sl.stop - sl.start
-                with watch.charge("inspection"):
-                    scheduler.map(
-                        lambda task: task.process(u_blocks[task.gi],
-                                                  h_for(task), n_records),
-                        pending)
-                yield sl
-        finally:
-            if prefetched is not None:
-                future = prefetched[1]
-                # a sweep already in flight must finish before the run's
-                # store scope closes (it may write through the caches);
-                # swallow its error — nobody consumes the result
-                if not future.cancel():
-                    future.exception()
+            needed: dict[int, UnitGroup] = {}
+            for task in pending:
+                needed.setdefault(task.gi, task.group)
+            u_blocks = self.source.unit_blocks(sl, sorted(needed.items()),
+                                               scheduler, watch)
+            n_records = sl.stop - sl.start
+            with watch.charge("inspection"):
+                scheduler.map(
+                    lambda task: task.process(u_blocks[task.gi],
+                                              h_for(task), n_records),
+                    pending)
+            yield sl
 
 
 def run_inspection(groups: list[UnitGroup], dataset: Dataset,

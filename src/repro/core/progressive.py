@@ -2,12 +2,12 @@
 
 Streaming execution means affinity scores can be computed and updated
 progressively, like online aggregation queries, so the user can stop
-DeepBase after any block.  Since PR 5 the per-block loop lives in the plan
-executor itself (:meth:`repro.core.pipeline.InspectionPlan.
-execute_progressive`) — the engine that serves one-shot ``inspect()`` calls
-and the Session API's ``.stream()`` is the same one that yields partial
-results here, so progressive runs share caches, stores and schedulers with
-everything else and the final update is bit-identical to a one-shot run.
+DeepBase after any block.  The per-block loop lives in the plan executor
+itself (:meth:`repro.core.pipeline.InspectionPlan.execute_blocks`) — the
+engine that serves one-shot ``inspect()`` calls and the Session API's
+``.stream()`` is the same one that yields partial results here, so
+progressive runs share caches, stores and schedulers with everything else
+and the final update is bit-identical to a one-shot run.
 
 :func:`inspect_progressive` keeps the seed generator surface: one
 :class:`ProgressiveUpdate` list per processed block, carrying the current

@@ -46,6 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.cache import (HypothesisCache, hyp_store_key, unit_store_key)
+from repro.core.pipeline import ProcessPoolScheduler
 from repro.extract.base import raw_rows_of
 from repro.store.disk import SHARD_DIR, _save_array
 from repro.util.debuglog import degraded
@@ -303,11 +304,11 @@ class ShardExchange:
     def build(cls, source, scheduler) -> "ShardExchange | None":
         """An exchange for this run, or None when one cannot help.
 
-        Requires a shard-executing scheduler and a disk store to exchange
-        through — either the run's own (``config.store``) or the scratch
-        store backing the session caches.
+        Requires a :class:`~repro.core.pipeline.ProcessPoolScheduler` and
+        a disk store to exchange through — either the run's own
+        (``config.store``) or the scratch store backing the session caches.
         """
-        if not getattr(scheduler, "executes_shards", False):
+        if not isinstance(scheduler, ProcessPoolScheduler):
             return None
         config = source.config
         store = config.store

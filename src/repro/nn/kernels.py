@@ -27,8 +27,8 @@ to the layer implementations they replace:
   bit for bit.
 
 Scratch buffers are allocated per call: they are small next to the sweep
-itself, and per-call allocation keeps the kernels thread-safe for the
-pipeline's double-buffered (prefetching) extraction.
+itself, and per-call allocation keeps the kernels thread-safe under the
+thread-pool scheduler, which sweeps several models at once.
 """
 
 from __future__ import annotations

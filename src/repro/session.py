@@ -11,8 +11,8 @@ lifecycle every query shares —
 * optionally a persistent :class:`~repro.store.DiskBehaviorStore`
   (``store_path=``), which the caches write through to with run-scoped
   deferred commits (one manifest rewrite per query),
-* one scheduler pool (:func:`~repro.core.pipeline.default_scheduler`
-  unless pinned),
+* one scheduler — serial unless pinned or named by ``REPRO_SCHEDULER``
+  (:func:`~repro.core.pipeline.default_scheduler`),
 
 — and carries name registries (:meth:`register_model`,
 :meth:`register_dataset`, :meth:`register_hypotheses`) addressable from
@@ -39,7 +39,7 @@ both query surfaces:
   one model share a single forward pass and one store commit per run.
 
 ``close()`` (or leaving the ``with`` block) flushes the store and shuts
-the scheduler pool down.  The seed APIs remain: :func:`repro.inspect` and
+down any scheduler pool.  The seed APIs remain: :func:`repro.inspect` and
 :class:`repro.db.inspect_clause.InspectQuery` are thin shims over an
 ephemeral ``Session``.
 """
@@ -161,7 +161,7 @@ class Session:
         self._closed = False
         if session_defaults:
             if self.scheduler is None and self.config.scheduler is None:
-                self.scheduler = default_scheduler(store=self.store)
+                self.scheduler = default_scheduler()
                 # the session owns this scheduler: release its worker pool
                 # when the session is collected, not only on close()
                 weakref.finalize(self, self.scheduler.shutdown)
@@ -712,8 +712,9 @@ class InspectionQuery:
         plan = self.plan()
         # closing(): the run's store scope flushes and owned pools stop
         # deterministically even if the consumer abandons the iterator
-        with contextlib.closing(plan.execute_progressive()) as snapshots:
-            for outcomes in snapshots:
+        with contextlib.closing(plan.execute_blocks()) as steps:
+            for _ in steps:
+                outcomes = plan.outcomes()
                 frame = self._postprocess(outcomes_to_frame(outcomes))
                 frame.records_processed = max(
                     (o.records_processed for o in outcomes), default=0)

@@ -256,29 +256,36 @@ class TestGracefulDegradation:
 # ----------------------------------------------------------------------
 class TestDefaultScheduler:
     def test_env_override_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHEDULER", "threads")
-        scheduler = default_scheduler()
-        assert isinstance(scheduler, ThreadPoolScheduler)
-        scheduler.shutdown()
+        for name, cls in (("serial", SerialScheduler),
+                          ("threads", ThreadPoolScheduler),
+                          ("processes", ProcessPoolScheduler)):
+            monkeypatch.setenv("REPRO_SCHEDULER", name)
+            with default_scheduler() as scheduler:
+                assert type(scheduler) is cls
+
+    @staticmethod
+    def _assert_serial_default(monkeypatch, tmp_path, cores,
+                               with_store=True, without_store=True):
+        monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        if without_store:
+            assert type(default_scheduler()) is SerialScheduler
+            with Session() as session:
+                assert type(session.scheduler) is SerialScheduler
+        if with_store:
+            store = DiskBehaviorStore(tmp_path / "store")
+            assert type(default_scheduler(store=store)) is SerialScheduler
+            with Session(store=store) as session:
+                assert type(session.scheduler) is SerialScheduler
 
     def test_single_core_picks_serial(self, monkeypatch, tmp_path):
-        monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert isinstance(default_scheduler(), SerialScheduler)
-        store = DiskBehaviorStore(tmp_path / "store")
-        assert isinstance(default_scheduler(store=store), SerialScheduler)
+        self._assert_serial_default(monkeypatch, tmp_path, cores=1)
 
-    def test_multicore_store_picks_processes(self, monkeypatch, tmp_path):
-        monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        store = DiskBehaviorStore(tmp_path / "store")
-        scheduler = default_scheduler(store=store)
-        assert isinstance(scheduler, ProcessPoolScheduler)
-        scheduler.shutdown()
+    def test_multicore_with_store_picks_serial(self, monkeypatch, tmp_path):
+        self._assert_serial_default(monkeypatch, tmp_path, cores=4,
+                                    without_store=False)
 
-    def test_multicore_without_store_picks_threads(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        scheduler = default_scheduler()
-        assert isinstance(scheduler, ThreadPoolScheduler)
-        scheduler.shutdown()
+    def test_multicore_without_store_picks_serial(self, monkeypatch,
+                                                  tmp_path):
+        self._assert_serial_default(monkeypatch, tmp_path, cores=4,
+                                    with_store=False)

@@ -442,7 +442,7 @@ class TestServerEndToEnd:
                     break
                 time.sleep(0.02)
             assert session.stats()["queries"]["streams_abandoned"] == 1
-            time.sleep(0.5)            # drain any in-flight prefetch
+            time.sleep(0.5)            # let the abandoned run unwind
             calls_after_abandon = counting.forward_calls
             time.sleep(0.5)            # no further extraction happens
             assert counting.forward_calls == calls_after_abandon

@@ -9,7 +9,6 @@ partial frames whose final snapshot is bit-identical to a one-shot
 
 from __future__ import annotations
 
-import os
 import threading
 
 import numpy as np
@@ -226,16 +225,13 @@ class TestStream:
             assert partials[0]["n_rows_seen"] == [rows] * len(partials[0])
             assert not any(partials[0]["converged"])
 
-    @pytest.mark.skipif(
-        os.environ.get("REPRO_SCHEDULER") == "processes",
-        reason="process scheduler prefetches blocks ahead of the stream; "
-               "its abandonment semantics are covered by "
-               "test_process_scheduler.py::TestLifecycle")
+    @pytest.mark.parametrize("scheduler", ["serial", "threads"])
     def test_stream_abandoned_early_stops_extraction(
-            self, trained_sql_model, sql_workload, hyps):
+            self, trained_sql_model, sql_workload, hyps, scheduler):
         counting = CountingForwardModel(trained_sql_model)
         config = InspectConfig(mode="streaming", block_size=20,
-                               early_stop=False, max_records=MAX_RECORDS)
+                               early_stop=False, max_records=MAX_RECORDS,
+                               scheduler=scheduler)
         with make_session(counting, sql_workload, hyps,
                           config=config) as session:
             stream = (session.inspect("m0", "d0").using("corr")
