@@ -9,8 +9,8 @@ The workload is the paper's epoch-sweep query -- ``GROUP BY M.epoch`` over
   inspection, so hypothesis behaviors are re-extracted once per group.
 * ``shared_plan_cold`` -- the current frontend: predicates push into
   columnar scans, equi-joins replace the cross product, and ALL groups
-  compile into one plan-engine run wired to the session caches and the
-  thread-pool scheduler.  Hypothesis extraction happens once in total and
+  compile into one plan-engine run wired to the session's caches and
+  scheduler.  Hypothesis extraction happens once in total and
   unit extraction once per (model, dataset).
 * ``shared_plan_warm`` -- the same statement re-run in the same session
   (the interactive query-refinement loop this frontend exists for, and the
@@ -33,10 +33,9 @@ from itertools import product
 import numpy as np
 import pytest
 
+from repro import Session
 from repro.core.groups import UnitGroup
-from repro.core.pipeline import InspectConfig, run_inspection
-from repro.db import Database
-from repro.db.inspect_clause import InspectQuery, run_inspect_sql
+from repro.core.pipeline import InspectConfig, InspectionPlan
 from repro.db.sqlparser import parse_sql
 from repro.extract import RnnActivationExtractor
 from repro.hypotheses import grammar_hypotheses
@@ -115,8 +114,9 @@ def _seed_inspect_one_group(context, spec, measures, group_envs):
                         name=f"mid={mid}")
               for mid, uids in units_by_model.items()]
     # one fully independent, cache-less, serial inspection per group
-    outcomes = run_inspection(groups, dataset, measures, hyp_objs,
-                              context.extractor, context.config)
+    outcomes = InspectionPlan.build(groups, dataset, measures, hyp_objs,
+                                    context.extractor,
+                                    context.config).execute()
     rows = []
     for outcome in outcomes:
         mid = next(m for m, g in zip(units_by_model, groups)
@@ -131,7 +131,7 @@ def _seed_inspect_one_group(context, spec, measures, group_envs):
     return rows
 
 
-def seed_run_inspect_sql(context, sql):
+def seed_frontend_sql(context, sql):
     """The pre-plan frontend: per-group loop over the cross product."""
     spec = parse_sql(sql)
     envs = _seed_catalog_rows(context.db, spec.tables, spec.where)
@@ -184,9 +184,16 @@ def sweep_snapshots(bench_workload):
     return snaps
 
 
-def _make_context(snapshots, workload, hyps, **kwargs):
+def _make_session(snapshots, workload, hyps, **kwargs) -> Session:
     ordered = [snapshots[e] for e in sorted(snapshots)]
-    db = Database()
+    kwargs.setdefault("config",
+                      InspectConfig(mode="full", max_records=MAX_RECORDS))
+    session = Session(extractor=RnnActivationExtractor(), **kwargs)
+    for m in ordered:
+        session.register_model(m.model_id, m, catalog=False)
+    session.register_dataset("d0", workload.dataset, catalog=False)
+    session.register_hypotheses(hyps, catalog=False)
+    db = session.db
     db.create_table("models", ["mid", "epoch"],
                     [[m.model_id, e] for e, m in sorted(snapshots.items())])
     db.create_table("units", ["mid", "uid", "layer"],
@@ -195,12 +202,7 @@ def _make_context(snapshots, workload, hyps, **kwargs):
     db.create_table("hypotheses", ["h", "name"],
                     [[h.name, "bench"] for h in hyps])
     db.create_table("inputs", ["did", "seq"], [["d0", "seq"]])
-    kwargs.setdefault("config",
-                      InspectConfig(mode="full", max_records=MAX_RECORDS))
-    return InspectQuery(db=db, models={m.model_id: m for m in ordered},
-                        hypotheses={h.name: h for h in hyps},
-                        datasets={"d0": workload.dataset},
-                        extractor=RnnActivationExtractor(), **kwargs)
+    return session
 
 
 def _score_set(rows):
@@ -213,18 +215,18 @@ def test_inspect_sql_shared_plan(benchmark, bench_workload,
     def _report():
         hyps = sweep_hypotheses
 
-        seed_ctx = _make_context(sweep_snapshots, bench_workload, hyps,
+        seed_ctx = _make_session(sweep_snapshots, bench_workload, hyps,
                                  session_defaults=False)
         t0 = time.perf_counter()
-        seed_rows = seed_run_inspect_sql(seed_ctx, SQL)
+        seed_rows = seed_frontend_sql(seed_ctx, SQL)
         t_seed = time.perf_counter() - t0
 
-        ctx = _make_context(sweep_snapshots, bench_workload, hyps)
+        ctx = _make_session(sweep_snapshots, bench_workload, hyps)
         t0 = time.perf_counter()
-        cold_frame = run_inspect_sql(ctx, SQL)
+        cold_frame = ctx.sql(SQL)
         t_cold = time.perf_counter() - t0
         t0 = time.perf_counter()
-        warm_frame = run_inspect_sql(ctx, SQL)
+        warm_frame = ctx.sql(SQL)
         t_warm = time.perf_counter() - t0
 
         timings = {"seed_frontend": t_seed, "shared_plan_cold": t_cold,
@@ -256,6 +258,7 @@ def test_inspect_sql_shared_plan(benchmark, bench_workload,
             json.dump(payload, f, indent=2)
         print(f"wrote {OUTPUT}")
         ctx.close()
+        seed_ctx.close()
 
         # both frontends must agree before any speedup claim counts
         assert _score_set(seed_rows) == _score_set(cold_frame.rows())

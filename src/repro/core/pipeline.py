@@ -1053,13 +1053,3 @@ class InspectionPlan:
                     pending)
             yield sl
 
-
-def run_inspection(groups: list[UnitGroup], dataset: Dataset,
-                   measures: list[Measure],
-                   hypotheses: list[HypothesisFunction],
-                   extractor: Extractor,
-                   config: InspectConfig) -> list[GroupMeasureOutcome]:
-    """Execute DNI-General and return one outcome per (group, measure)."""
-    plan = InspectionPlan.build(groups, dataset, measures, hypotheses,
-                                extractor, config)
-    return plan.execute()

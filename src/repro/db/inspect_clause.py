@@ -28,18 +28,21 @@ engine rather than interpreted row-at-a-time:
    relations fall back to a columnar cross product.
 2. **Shared inspection plan** -- GROUP BY keys are factorized over the
    joined relation, the per-group (model, unit-set, hypothesis) workloads
-   are deduplicated across groups, and ONE plan-engine run
-   (:func:`repro.core.pipeline.run_inspection`) scores everything, wired to
-   the session's :class:`~repro.core.cache.HypothesisCache` /
-   :class:`~repro.core.cache.UnitBehaviorCache` and scheduler.  The
-   scheduler is resolved once per statement and shared across the
-   per-dataset runs a GROUP BY sweep fans into — a session-owned pool
-   (thread or process) is reused as-is, so an INSPECT statement on a
-   process-scheduler session exchanges shards through the same worker
-   pool and store as the Python builder, and its frames stay
-   bit-identical to serial execution.  A ``GROUP BY M.epoch`` sweep
-   therefore extracts each model's behavior once, and the hypothesis
-   behaviors once in total.
+   are deduplicated across groups, and everything targeting one dataset
+   compiles into ONE :class:`~repro.core.pipeline.InspectionPlan` wired
+   to the session's :class:`~repro.core.cache.HypothesisCache` /
+   :class:`~repro.core.cache.UnitBehaviorCache`, store and scheduler.
+   One block driver runs every statement: it resolves the scheduler once
+   (a session-owned pool is reused as-is), opens one store
+   ``deferred_commits()`` scope for the whole statement (a ``GROUP BY
+   D.did`` sweep commits the store manifest once, not once per dataset)
+   and drives each per-dataset plan's ``execute_blocks()``.
+   :func:`run_inspect_spec` (``Session.sql``) drains it and builds the S
+   relation once; :func:`stream_inspect_spec` (``Session.stream_sql``)
+   assembles a frame after every block, so their final frames are
+   bit-identical by construction.  A ``GROUP BY M.epoch`` sweep therefore
+   extracts each model's behavior once, and the hypothesis behaviors once
+   in total.
 3. **Columnar S relation** -- scores are materialized as a temporary
    columnar table ``S(uid, hid, mid, score_id, group_score, unit_score)``
    joined with the surviving catalog columns, and HAVING, the SELECT
@@ -52,110 +55,30 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.cache import HypothesisCache, UnitBehaviorCache
 from repro.core.groups import UnitGroup
-from repro.core.pipeline import (InspectConfig, InspectionPlan, Scheduler,
-                                 _resolve_scheduler, run_inspection)
+from repro.core.pipeline import InspectionPlan, _resolve_scheduler
 from repro.data.datasets import Dataset
 from repro.db.engine import Database, Table
 from repro.db.executor import (SelectItem, SelectQuery, _broadcast,
                                equi_match, execute_select, gather, group_ids)
 from repro.db.expr import (AggregateRef, AmbiguousColumnError, Arith, BoolOp,
                            Column, Compare, Expr)
-from repro.db.sqlparser import InspectSpec, parse_sql
-from repro.extract.base import Extractor
+from repro.db.sqlparser import InspectSpec
 from repro.hypotheses.base import HypothesisFunction
 from repro.measures.registry import get_measure
-from repro.store import DiskBehaviorStore
 from repro.util.frame import Frame
+
+if TYPE_CHECKING:   # the session imports this module lazily
+    from repro.session import Session
 
 #: schema of the temporary score relation produced by the INSPECT clause
 S_COLUMNS = ("uid", "hid", "mid", "score_id", "group_score", "unit_score")
 
 _TMP_TABLE = "__inspect_s__"
-
-
-@dataclass
-class InspectQuery:
-    """Binding context: catalog database + live Python objects.
-
-    Since PR 5 this is a thin shim over :class:`repro.session.Session` —
-    the context creates one session that owns the resource lifecycle
-    (shared caches, an optional persistent store, one scheduler pool), and
-    mirrors the session's resources onto its public fields.  Unless the
-    supplied :class:`InspectConfig` pins them, queries share a
-    hypothesis-behavior cache, a unit-behavior cache and a thread-pool
-    scheduler across calls, so a repeated or refined query only pays for
-    what changed.  Point ``store_path`` (or ``store``) at a directory and
-    the session caches become memory tiers over a persistent
-    :class:`~repro.store.DiskBehaviorStore`: a new process opening a
-    context on the same path serves previously-inspected queries without
-    re-running any model.
-    """
-
-    db: Database
-    models: dict[str, Any]                       # mid -> model object
-    hypotheses: dict[str, HypothesisFunction]    # h -> hypothesis object
-    datasets: dict[str, Dataset]                 # did -> dataset object
-    extractor: Extractor
-    config: InspectConfig = field(default_factory=InspectConfig)
-    hyp_cache: HypothesisCache | None = None
-    unit_cache: UnitBehaviorCache | None = None
-    scheduler: Scheduler | str | None = None
-    store: DiskBehaviorStore | None = None
-    store_path: str | None = None
-    session_defaults: bool = True   # False: run with config exactly as given
-
-    def __post_init__(self) -> None:
-        from repro.session import Session  # session builds on this module
-        self._session = Session(
-            db=self.db, models=self.models, hypotheses=self.hypotheses,
-            datasets=self.datasets, extractor=self.extractor,
-            config=self.config, hyp_cache=self.hyp_cache,
-            unit_cache=self.unit_cache, scheduler=self.scheduler,
-            store=self.store, store_path=self.store_path,
-            session_defaults=self.session_defaults)
-        # the registries are shared by reference; mirror the resources the
-        # session resolved/created so the public fields stay live
-        self.store = self._session.store
-        self.hyp_cache = self._session.hyp_cache
-        self.unit_cache = self._session.unit_cache
-        self.scheduler = self._session.scheduler
-
-    @property
-    def session(self):
-        """The owning :class:`repro.session.Session`."""
-        return self._session
-
-    def effective_config(self) -> InspectConfig:
-        """The per-run config with session defaults filled in."""
-        return self._session.effective_config()
-
-    def close(self) -> None:
-        """Flush the session store and release the scheduler's pool."""
-        self._session.close()
-
-    def __enter__(self) -> "InspectQuery":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    def register_model(self, mid: str, model, **attrs) -> None:
-        # seed-exact behavior: a models catalog row only (no implicit
-        # units rows), and *any* attr name is a column — including names
-        # Session.register_model reserves as keywords (units, layer, ...)
-        self.models[mid] = model
-        table = self.db.tables.get("models")
-        if table is None:
-            table = self.db.create_table(
-                "models", ["mid"] + sorted(attrs))
-        table.insert([mid] + [attrs[c] for c in table.columns[1:]])
 
 
 # ----------------------------------------------------------------------
@@ -423,7 +346,7 @@ def _model_column(spec: InspectSpec, schema: Schema) -> str:
     return schema.resolve("mid")
 
 
-def _group_datasets(context: InspectQuery, spec: InspectSpec,
+def _group_datasets(session: Session, spec: InspectSpec,
                     schema: Schema, cols: dict[str, np.ndarray],
                     gids: np.ndarray, n_groups: int) -> list[str]:
     """The dataset id each GROUP BY group targets.
@@ -440,12 +363,12 @@ def _group_datasets(context: InspectQuery, spec: InspectSpec,
     if did_col is None and "did" in schema.owners:
         did_col = cols[schema.resolve("did")]  # ambiguity raises here
     if did_col is None:
-        if len(context.datasets) != 1:
+        if len(session.datasets) != 1:
             raise ValueError(
                 "cannot determine the INSPECT dataset: no catalog relation "
-                "exposes a 'did' column and the context registers "
-                f"{len(context.datasets)} datasets")
-        return [next(iter(context.datasets))] * n_groups
+                "exposes a 'did' column and the session registers "
+                f"{len(session.datasets)} datasets")
+        return [next(iter(session.datasets))] * n_groups
     dids: list[str] = []
     for g in range(n_groups):
         group_dids = set(np.unique(did_col[gids == g]).tolist())
@@ -459,34 +382,20 @@ def _group_datasets(context: InspectQuery, spec: InspectSpec,
 # ----------------------------------------------------------------------
 # entry points
 # ----------------------------------------------------------------------
-def run_inspect_sql(context, sql: str) -> Frame:
-    """Parse and execute a SQL statement with an INSPECT clause.
-
-    ``context`` is anything exposing the binding surface — ``db``,
-    ``models``, ``hypotheses``, ``datasets``, ``extractor`` and
-    ``effective_config()`` — i.e. an :class:`InspectQuery` or a
-    :class:`repro.session.Session`.
-    """
-    spec = parse_sql(sql)
-    if not isinstance(spec, InspectSpec):
-        raise ValueError("query has no INSPECT clause; use execute_select")
-    return run_inspect_spec(context, spec)
-
-
 @dataclass
 class _CompiledInspect:
     """An INSPECT statement compiled up to (but excluding) execution.
 
     Everything the catalog stages decide — name resolution, the joined
     catalog relation, the deduplicated per-dataset run list — happens
-    once in :func:`_compile_inspect`; the one-shot
-    (:func:`run_inspect_spec`) and progressive
-    (:func:`stream_inspect_spec`) executors then differ only in *when*
-    they call :meth:`assemble` on outcome snapshots, so their final
-    frames are bit-identical by construction.
+    once in :func:`_compile_inspect`.  :meth:`execute_blocks` is the one
+    block driver; the one-shot (:func:`run_inspect_spec`) and progressive
+    (:func:`stream_inspect_spec`) forms differ only in *when* they call
+    :meth:`assemble`, so their final frames are bit-identical by
+    construction.
     """
 
-    context: Any
+    session: Session
     spec: InspectSpec
     out_columns: list[str]
     select_items: list[SelectItem] = field(default_factory=list)
@@ -500,127 +409,117 @@ class _CompiledInspect:
     hyp_col_of: dict[str, int] = field(default_factory=dict)
     measures: list = field(default_factory=list)
     hyp_objs: list[HypothesisFunction] = field(default_factory=list)
+    plans: dict[str, InspectionPlan] = field(default_factory=dict)
     empty: bool = False   # catalog plan produced zero rows
 
     def dataset(self, did: str) -> Dataset:
         try:
-            return self.context.datasets[did]
+            return self.session.datasets[did]
         except KeyError:
             raise KeyError(f"dataset {did!r} is not registered with the "
-                           "InspectQuery context") from None
+                           "session") from None
 
-    def empty_frame(self) -> Frame:
-        return Frame.from_records([], columns=self.out_columns)
+    def execute_blocks(self):
+        """Run every per-dataset plan, yielding once after each block.
 
-    def assemble(self, outcomes_by_did: dict[str, list]) -> Frame:
-        """Materialize S from outcome snapshots and finish columnar."""
+        The statement's lifecycle rides on this generator: the scheduler
+        is resolved once (an owned pool shuts down at exhaustion *or*
+        abandonment), and one store commit scope spans every dataset, so
+        a ``GROUP BY D.did`` sweep rewrites the store manifest once.
+        :attr:`plans` is filled before the first block runs.
+        """
+        if self.empty:
+            return
+        config = self.session.effective_config()
+        scheduler, owned = _resolve_scheduler(config.scheduler)
+        store_scope = (config.store.deferred_commits()
+                       if config.store is not None
+                       else contextlib.nullcontext())
+        try:
+            with store_scope:
+                run_config = dataclasses.replace(config, scheduler=scheduler)
+                self.plans = {did: InspectionPlan.build(
+                                  groups_d, self.dataset(did), self.measures,
+                                  self.hyp_objs, self.session.extractor,
+                                  run_config)
+                              for did, groups_d in self.runs.items()}
+                for plan in self.plans.values():
+                    yield from plan.execute_blocks()
+        finally:
+            if owned:
+                scheduler.shutdown()
+
+    def assemble(self) -> Frame:
+        """The output relation over the plans' current outcome snapshots.
+
+        Datasets not yet started contribute zero-score snapshots, so a
+        partial frame has the final frame's shape.
+        """
+        if self.empty:
+            return Frame.from_records([], columns=self.out_columns)
+        outcomes_by_did = {did: plan.outcomes()
+                           for did, plan in self.plans.items()}
         s_cols = _materialize_s(self.catalog_keep, self.workloads,
                                 outcomes_by_did, self.plan_index,
                                 self.hyp_col_of, len(self.measures),
                                 self.spec.inspect_alias)
-        return _finish_columnar(self.context.db, s_cols, self.select_items,
+        return _finish_columnar(self.session.db, s_cols, self.select_items,
                                 self.having, self.spec, self.out_schema,
                                 self.out_columns)
 
+    def snapshot(self) -> Frame:
+        """:meth:`assemble`, tagged ``records_processed`` / ``converged``
+        for progress reporting."""
+        frame = self.assemble()
+        tasks = [task for plan in self.plans.values() for task in plan.tasks]
+        frame.records_processed = max(
+            (task.records_processed for task in tasks), default=0)
+        frame.converged = all(task.done or bool(task.col_converged.all())
+                              for task in tasks)
+        return frame
+
     def persist(self, frame: Frame) -> Frame:
-        return _persist_into(self.context.db, self.spec, frame)
+        return _persist_into(self.session.db, self.spec, frame)
 
 
-def run_inspect_spec(context, spec: InspectSpec) -> Frame:
-    compiled = _compile_inspect(context, spec)
-    if compiled.empty:
-        return compiled.persist(compiled.empty_frame())
+def run_inspect_spec(session: Session, spec: InspectSpec) -> Frame:
+    """Execute a parsed INSPECT statement and return its result frame.
 
-    # resolve the scheduler once for the whole statement (a GROUP BY D.did
-    # sweep runs one plan per dataset) and release its worker pool before
-    # returning when this statement created it — repeated queries must not
-    # leak pools, nor rebuild one per dataset
-    config = context.effective_config()
-    scheduler, owned = _resolve_scheduler(config.scheduler)
-    outcomes_by_did: dict[str, list] = {}
-    try:
-        run_config = dataclasses.replace(config, scheduler=scheduler)
-        for did, groups_d in compiled.runs.items():
-            outcomes_by_did[did] = run_inspection(
-                groups_d, compiled.dataset(did), compiled.measures,
-                compiled.hyp_objs, context.extractor, run_config)
-    finally:
-        if owned:
-            scheduler.shutdown()
-    return compiled.persist(compiled.assemble(outcomes_by_did))
+    Drains the block driver, then builds the S relation once.
+    """
+    compiled = _compile_inspect(session, spec)
+    for _ in compiled.execute_blocks():
+        pass
+    return compiled.persist(compiled.assemble())
 
 
-def stream_inspect_spec(context, spec: InspectSpec):
+def stream_inspect_spec(session: Session, spec: InspectSpec):
     """Progressive INSPECT execution: one result frame per processed block.
 
-    Compiles the statement exactly like :func:`run_inspect_spec`, then
-    drives each per-dataset plan block by block, assembling the full
-    output relation (HAVING/projection/ORDER BY/LIMIT included) from the
-    current outcome snapshots after every block.  Datasets not yet
-    started contribute zero-score snapshots, so every partial frame has
-    the final frame's shape; the last yielded frame is bit-identical to
-    :func:`run_inspect_spec`'s return for the same statement.
+    Runs the same block driver as :func:`run_inspect_spec` and assembles
+    the full output relation (HAVING/projection/ORDER BY/LIMIT included)
+    after every block; the last yielded frame is bit-identical to
+    :func:`run_inspect_spec`'s return for the same statement.  A run with
+    no blocks (empty catalog or dataset) still yields one frame.
 
-    Each frame carries ``records_processed`` / ``converged`` attributes
-    for progress reporting.  Abandoning the generator stops the run
-    cleanly — pending store scopes flush, owned scheduler pools shut
-    down, sweep-gate leases release — and skips the ``INTO`` persist
-    step (a cancelled query must not commit a half-scored table).
+    Abandoning the generator stops the run cleanly — the store scope
+    flushes, an owned scheduler pool shuts down, sweep-gate leases
+    release — and skips the ``INTO`` persist step (a cancelled query must
+    not commit a half-scored table).
     """
-    compiled = _compile_inspect(context, spec)
-    if compiled.empty:
-        frame = compiled.persist(compiled.empty_frame())
-        frame.records_processed = 0
-        frame.converged = True
+    compiled = _compile_inspect(session, spec)
+    frame = None
+    for _ in compiled.execute_blocks():
+        frame = compiled.snapshot()
         yield frame
-        return
-
-    config = context.effective_config()
-    scheduler, owned = _resolve_scheduler(config.scheduler)
-    try:
-        run_config = dataclasses.replace(config, scheduler=scheduler)
-        plans = {did: InspectionPlan.build(
-                     groups_d, compiled.dataset(did), compiled.measures,
-                     compiled.hyp_objs, context.extractor, run_config)
-                 for did, groups_d in compiled.runs.items()}
-        # zero-snapshot every dataset up front: partial frames keep the
-        # full output shape while earlier datasets are still running
-        outcomes_by_did = {did: plan.outcomes()
-                           for did, plan in plans.items()}
-
-        def snapshot() -> Frame:
-            frame = compiled.assemble(outcomes_by_did)
-            frame.records_processed = max(
-                (o.records_processed
-                 for outs in outcomes_by_did.values() for o in outs),
-                default=0)
-            frame.converged = all(
-                task.done or bool(task.col_converged.all())
-                for plan in plans.values() for task in plan.tasks)
-            return frame
-
-        last: Frame | None = None
-        for did, plan in plans.items():
-            # closing(): GeneratorExit at our yield still runs the block
-            # generator's cleanup promptly (store flush, lease release)
-            with contextlib.closing(plan.execute_blocks()) as steps:
-                for _ in steps:
-                    outcomes_by_did[did] = plan.outcomes()
-                    last = snapshot()
-                    yield last
-        if last is None:   # zero-block run (empty dataset): still one frame
-            last = snapshot()
-            compiled.persist(last)
-            yield last
-        else:
-            compiled.persist(last)
-    finally:
-        if owned:
-            scheduler.shutdown()
+    if frame is None:
+        yield compiled.persist(compiled.snapshot())
+    else:
+        compiled.persist(frame)
 
 
-def _compile_inspect(context, spec: InspectSpec) -> _CompiledInspect:
-    db = context.db
+def _compile_inspect(session: Session, spec: InspectSpec) -> _CompiledInspect:
+    db = session.db
     if any(alias == spec.inspect_alias for _, alias in spec.tables):
         raise ValueError(f"INSPECT alias {spec.inspect_alias!r} collides "
                          "with a FROM table alias")
@@ -642,7 +541,7 @@ def _compile_inspect(context, spec: InspectSpec) -> _CompiledInspect:
     out_columns = [item.alias for item in select_items]
     cols, n = execute_catalog_plan(db, plan_catalog(spec.tables, where))
     if n == 0:
-        return _CompiledInspect(context=context, spec=spec,
+        return _CompiledInspect(session=session, spec=spec,
                                 out_columns=out_columns, empty=True)
 
     # factorize GROUP BY keys over the joined relation
@@ -655,7 +554,7 @@ def _compile_inspect(context, spec: InspectSpec) -> _CompiledInspect:
     mid_arr = cols[_model_column(spec, catalog_schema)]
     uid_arr = cols[catalog_schema.resolve(spec.unit_ref)]
     hyp_arr = cols[catalog_schema.resolve(spec.hyp_ref)]
-    group_dids = _group_datasets(context, spec, catalog_schema, cols,
+    group_dids = _group_datasets(session, spec, catalog_schema, cols,
                                  gids, n_groups)
     measures = [get_measure(name) for name in spec.measures]
     workloads = _collect_workloads(gids, n_groups, mid_arr, uid_arr, hyp_arr)
@@ -677,19 +576,19 @@ def _compile_inspect(context, spec: InspectSpec) -> _CompiledInspect:
             if key in plan_index:
                 continue
             try:
-                model = context.models[mid]
+                model = session.models[mid]
             except KeyError:
                 raise KeyError(f"model {mid!r} is not registered with the "
-                               "InspectQuery context") from None
+                               "session") from None
             groups_d = runs.setdefault(workload.did, [])
             plan_index[key] = len(groups_d)
             groups_d.append(UnitGroup(model=model, unit_ids=uids,
                                       name=f"mid={mid}"))
     try:
-        hyp_objs = [context.hypotheses[name] for name in hyp_names]
+        hyp_objs = [session.hypotheses[name] for name in hyp_names]
     except KeyError as exc:
         raise KeyError(f"hypothesis {exc.args[0]!r} is not registered with "
-                       "the InspectQuery context") from None
+                       "the session") from None
     hyp_col_of = {name: j for j, name in enumerate(hyp_names)}
 
     # only catalog columns the SELECT/HAVING/ORDER BY actually reference
@@ -704,7 +603,7 @@ def _compile_inspect(context, spec: InspectSpec) -> _CompiledInspect:
     catalog_keep = {q: arr for q, arr in cols.items() if q in needed}
 
     return _CompiledInspect(
-        context=context, spec=spec, out_columns=out_columns,
+        session=session, spec=spec, out_columns=out_columns,
         select_items=select_items, having=having, out_schema=out_schema,
         catalog_keep=catalog_keep, workloads=workloads, runs=runs,
         plan_index=plan_index, hyp_col_of=hyp_col_of, measures=measures,

@@ -33,15 +33,17 @@ both query surfaces:
                           .hypotheses(hyps).stream()):
               ...  # scores refine as blocks arrive
 
-* the SQL frontend — :meth:`Session.sql` compiles ``SELECT ... INSPECT``
-  statements through :mod:`repro.db.inspect_clause` against the same
-  caches, store and scheduler, so interleaved Python and SQL queries on
-  one model share a single forward pass and one store commit per run.
+* the SQL frontend — :meth:`Session.sql` and :meth:`Session.stream_sql`
+  compile ``SELECT ... INSPECT`` statements through
+  :mod:`repro.db.inspect_clause` against the same caches, store and
+  scheduler, so interleaved Python and SQL queries on one model share a
+  single forward pass and one store commit per statement.
 
-``close()`` (or leaving the ``with`` block) flushes the store and shuts
-down any scheduler pool.  The seed APIs remain: :func:`repro.inspect` and
-:class:`repro.db.inspect_clause.InspectQuery` are thin shims over an
-ephemeral ``Session``.
+A session is the only binding context the INSPECT compiler sees: its
+registries, catalog and caches always belong to it.  ``close()`` (or
+leaving the ``with`` block) flushes the store and shuts down the
+scheduler pool.  The seed :func:`repro.inspect` call is a thin shim over
+an ephemeral ``Session``.
 """
 
 from __future__ import annotations
@@ -82,13 +84,9 @@ class Session:
         Directory for a persistent :class:`DiskBehaviorStore`; the session
         caches become memory tiers over it (``store=`` passes an existing
         store object instead).
-    db:
-        Catalog database for the SQL frontend; created empty on first use
-        when omitted (``register_*`` fills it).
-    models / hypotheses / datasets:
-        Pre-filled registries (shared by reference — the
-        :class:`~repro.db.inspect_clause.InspectQuery` shim relies on
-        this); usually left to :meth:`register_model` & friends.
+    db_path:
+        Directory for a persistent paged SQL catalog (see :attr:`db`);
+        the catalog is in memory when omitted.  ``register_*`` fills it.
     extractor:
         Default unit-behavior extractor for both query surfaces; defaults
         to :class:`~repro.extract.rnn.RnnActivationExtractor`.
@@ -96,26 +94,37 @@ class Session:
         Base :class:`InspectConfig` every query derives from.  Fields it
         pins (an explicit cache, scheduler, store...) override the
         session's resources for every query, exactly like the seed APIs.
+    scheduler:
+        The scheduler (an instance or a name) every query shares unless
+        its config pins one; defaults to
+        :func:`~repro.core.pipeline.default_scheduler`.
+    sweep_gate:
+        Cross-query single-flight gate over cold sweeps (the inspection
+        server installs one).
     session_defaults:
         When False the session creates *no* resources of its own and
-        :meth:`effective_config` returns ``config`` untouched — the mode
-        the ephemeral-``Session`` shims run in, preserving seed behavior.
+        :meth:`effective_config` returns ``config`` untouched — the
+        serial, cache-less reference mode the seed :func:`repro.inspect`
+        shim runs in.  Resources then come only from ``config``, so
+        passing ``store_path``, ``store``, ``scheduler`` or
+        ``sweep_gate`` as well is an error.
     """
 
     def __init__(self, store_path=None, *,
                  store: DiskBehaviorStore | None = None,
-                 db: Database | None = None,
                  db_path: str | None = None,
-                 models: dict | None = None,
-                 hypotheses: dict[str, HypothesisFunction] | None = None,
-                 datasets: dict[str, Dataset] | None = None,
                  extractor: Extractor | None = None,
                  config: InspectConfig | None = None,
-                 hyp_cache: HypothesisCache | None = None,
-                 unit_cache: UnitBehaviorCache | None = None,
                  scheduler: Scheduler | str | None = None,
                  sweep_gate=None,
                  session_defaults: bool = True):
+        if not session_defaults and any(
+                v is not None for v in (store_path, store, scheduler,
+                                        sweep_gate)):
+            raise ValueError(
+                "session_defaults=False runs with config exactly as given; "
+                "pass the store, scheduler or sweep gate through config= "
+                "(an InspectConfig) instead of as Session arguments")
         self.config = config or InspectConfig()
         #: cross-query single-flight gate over cold raw sweeps (the
         #: inspection server installs a SweepRegistry here); threaded into
@@ -141,22 +150,18 @@ class Session:
                 "DiskBehaviorStore and config.store names another; pass a "
                 "single store object (or drop one of them)")
         self.store = store
-        self.models: dict = models if models is not None else {}
-        self.hypotheses: dict[str, HypothesisFunction] = (
-            hypotheses if hypotheses is not None else {})
-        self.datasets: dict[str, Dataset] = (
-            datasets if datasets is not None else {})
-        if db is not None and db_path is not None:
-            raise ValueError("pass either db= or db_path=, not both")
-        self._db = db
+        self.models: dict = {}
+        self.hypotheses: dict[str, HypothesisFunction] = {}
+        self.datasets: dict[str, Dataset] = {}
+        self._db: Database | None = None
         self._db_path = db_path
         if extractor is None:
             from repro.extract.rnn import RnnActivationExtractor
             extractor = RnnActivationExtractor()
         self.extractor = extractor
         self.session_defaults = session_defaults
-        self.hyp_cache = hyp_cache
-        self.unit_cache = unit_cache
+        self.hyp_cache: HypothesisCache | None = None
+        self.unit_cache: UnitBehaviorCache | None = None
         self.scheduler = scheduler
         self._closed = False
         if session_defaults:
@@ -180,9 +185,9 @@ class Session:
             if backing is None and isinstance(self.scheduler,
                                               ProcessPoolScheduler):
                 backing = self.scheduler.scratch_store()
-            if self.hyp_cache is None and self.config.cache is None:
+            if self.config.cache is None:
                 self.hyp_cache = HypothesisCache(store=backing)
-            if self.unit_cache is None and self.config.unit_cache is None:
+            if self.config.unit_cache is None:
                 self.unit_cache = UnitBehaviorCache(store=backing)
 
     # -- lifecycle ------------------------------------------------------
@@ -217,10 +222,10 @@ class Session:
 
         Idempotent; after closing, issuing queries through this session
         raises :class:`RuntimeError` (a shut-down pool would otherwise
-        silently respawn its worker threads).  The held scheduler is shut
-        down even when the caller supplied it — the seed ``InspectQuery``
-        contract; a scheduler shared with another *live* session stays
-        usable there, lazily respawning its pool on next use.
+        silently respawn its worker threads).  The session's scheduler is
+        shut down even when the caller supplied it, so a ``with`` block
+        never leaks a pool; a scheduler shared with another *live* session
+        stays usable there, lazily respawning its pool on next use.
         """
         if self._closed:
             return
@@ -481,7 +486,12 @@ class Session:
         """
         self._check_open()
         from repro.db.inspect_clause import stream_inspect_spec
-        parsed = parse_sql(statement)
+        try:
+            parsed = parse_sql(statement)
+        except BaseException:
+            # the error stays eager, but counts like a failed sql() call
+            self._count_query("started", "failed")
+            raise
         if isinstance(parsed, InspectSpec):
             inner = stream_inspect_spec(self, parsed)
         else:

@@ -722,8 +722,3 @@ class TestSessionPersistence:
         with Session() as session:
             assert session.db.storage is not None
             assert session.db.path.startswith(str(tmp_path / "dbs"))
-
-    def test_db_and_db_path_are_exclusive(self, tmp_path):
-        from repro import Session
-        with pytest.raises(ValueError):
-            Session(db=Database(), db_path=str(tmp_path / "x"))

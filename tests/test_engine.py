@@ -515,21 +515,3 @@ class TestPlanIntrospection:
         assert "scheduler=threads" in text
         assert "per-column" in text   # correlation partitions
         assert "scalar" in text       # logreg falls back to scalar stopping
-
-    def test_plan_execute_matches_run_inspection(self, trained_sql_model,
-                                                 sql_workload, hyps):
-        from repro.core.groups import all_units_group
-        from repro.core.pipeline import run_inspection
-        ext = RnnActivationExtractor()
-        groups = [all_units_group(trained_sql_model, ext)]
-        cfg = InspectConfig(mode="streaming", early_stop=False, seed=0,
-                            max_records=40)
-        plan = InspectionPlan.build(groups, sql_workload.dataset,
-                                    [CorrelationScore()], hyps, ext, cfg)
-        direct = plan.execute()
-        cfg2 = InspectConfig(mode="streaming", early_stop=False, seed=0,
-                             max_records=40)
-        via_fn = run_inspection(groups, sql_workload.dataset,
-                                [CorrelationScore()], hyps, ext, cfg2)
-        for a, b in zip(direct, via_fn):
-            assert np.allclose(a.result.unit_scores, b.result.unit_scores)

@@ -1,7 +1,7 @@
 """Differential suite: the SQL INSPECT frontend vs the direct inspect() API.
 
 The frontend compiles a statement into one shared plan-engine run wired to
-session caches and the thread-pool scheduler; these tests assert that this
+the session's caches, store and scheduler; these tests assert that this
 whole pipeline is *score-preserving*: bit-identical values to a serial,
 uncached `inspect()` call over the same (models, units, hypotheses,
 dataset) workload -- including multi-measure USING lists, HAVING filters,
@@ -14,10 +14,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import InspectConfig, UnitGroup, inspect
-from repro.db import Database
+from repro import InspectConfig, Session, UnitGroup, inspect
 from repro.db.expr import AmbiguousColumnError
-from repro.db.inspect_clause import InspectQuery, run_inspect_sql
 from repro.extract import RnnActivationExtractor
 from repro.hypotheses import KeywordHypothesis
 from repro.measures import get_measure
@@ -53,9 +51,17 @@ def hyps():
     return [KeywordHypothesis(k) for k in ("SELECT", "FROM", "WHERE")]
 
 
-def make_context(snapshots, workload, hyps, **kwargs) -> InspectQuery:
+def make_session(snapshots, workload, hyps, **kwargs) -> Session:
+    """A session over a hand-built catalog (layer 0 = units 0..4)."""
     ordered = [snapshots[e] for e in sorted(snapshots)]
-    db = Database()
+    kwargs.setdefault("config",
+                      InspectConfig(mode="full", max_records=MAX_RECORDS))
+    session = Session(extractor=RnnActivationExtractor(), **kwargs)
+    for m in ordered:
+        session.register_model(m.model_id, m, catalog=False)
+    session.register_dataset("d0", workload.dataset, catalog=False)
+    session.register_hypotheses(hyps, catalog=False)
+    db = session.db
     db.create_table("models", ["mid", "epoch"],
                     [[m.model_id, e] for e, m in sorted(snapshots.items())])
     db.create_table("units", ["mid", "uid", "layer"],
@@ -64,20 +70,21 @@ def make_context(snapshots, workload, hyps, **kwargs) -> InspectQuery:
     db.create_table("hypotheses", ["h", "name"],
                     [[h.name, "keywords"] for h in hyps])
     db.create_table("inputs", ["did", "seq"], [["d0", "seq"]])
-    kwargs.setdefault("config",
-                      InspectConfig(mode="full", max_records=MAX_RECORDS))
-    return InspectQuery(
-        db=db, models={m.model_id: m for m in ordered},
-        hypotheses={h.name: h for h in hyps},
-        datasets={"d0": workload.dataset},
-        extractor=RnnActivationExtractor(), **kwargs)
+    return session
+
+
+def two_dataset_session(snapshots, workload, hyps, **kwargs) -> Session:
+    """:func:`make_session` plus a second dataset ``d1`` (30 records)."""
+    session = make_session(snapshots, workload, hyps, **kwargs)
+    session.register_dataset("d1", workload.dataset.head(30), catalog=False)
+    session.db.table("inputs").insert(["d1", "seq"])
+    return session
 
 
 @pytest.fixture
-def context(snapshots, sql_workload, hyps):
-    ctx = make_context(snapshots, sql_workload, hyps)
-    yield ctx
-    ctx.close()
+def session(snapshots, sql_workload, hyps):
+    with make_session(snapshots, sql_workload, hyps) as ctx:
+        yield ctx
 
 
 def api_scores(snapshots, workload, hyps, measures,
@@ -109,20 +116,27 @@ SQL_ALL = """
     {tail}
 """
 
+SQL_BY_DID = """
+    SELECT D.did, S.mid, S.uid, S.hid, S.unit_score
+    INSPECT U.uid AND H.h USING corr OVER D.seq AS S
+    FROM models M, units U, hypotheses H, inputs D
+    WHERE M.mid = U.mid AND U.layer = 0
+    GROUP BY D.did
+"""
+
 
 class TestSqlVsApi:
-    def test_corr_bit_identical(self, context, snapshots, sql_workload,
+    def test_corr_bit_identical(self, session, snapshots, sql_workload,
                                 hyps):
-        frame = run_inspect_sql(context, SQL_ALL.format(measures="corr",
-                                                        tail=""))
+        frame = session.sql(SQL_ALL.format(measures="corr", tail=""))
         expected = api_scores(snapshots, sql_workload, hyps, ["corr"])
         got = sql_scores(frame)
         assert set(got) == set(expected)
         assert all(got[k] == expected[k] for k in expected)  # bit-identical
 
-    def test_multi_measure_bit_identical(self, context, snapshots,
+    def test_multi_measure_bit_identical(self, session, snapshots,
                                          sql_workload, hyps):
-        frame = run_inspect_sql(context, SQL_ALL.format(
+        frame = session.sql(SQL_ALL.format(
             measures="corr, mutual_info", tail=""))
         expected = api_scores(snapshots, sql_workload, hyps,
                               ["corr", "mutual_info"])
@@ -131,18 +145,18 @@ class TestSqlVsApi:
         assert all(got[k] == expected[k] for k in expected)
         assert {k[3] for k in got} == {"corr:pearson", "mutual_info"}
 
-    def test_group_by_epoch_bit_identical(self, context, snapshots,
+    def test_group_by_epoch_bit_identical(self, session, snapshots,
                                           sql_workload, hyps):
-        frame = run_inspect_sql(context, SQL_ALL.format(
+        frame = session.sql(SQL_ALL.format(
             measures="corr", tail="GROUP BY M.epoch"))
         expected = api_scores(snapshots, sql_workload, hyps, ["corr"])
         got = sql_scores(frame)
         assert set(got) == set(expected)
         assert all(got[k] == expected[k] for k in expected)
 
-    def test_having_matches_api_filter(self, context, snapshots,
+    def test_having_matches_api_filter(self, session, snapshots,
                                        sql_workload, hyps):
-        frame = run_inspect_sql(context, SQL_ALL.format(
+        frame = session.sql(SQL_ALL.format(
             measures="corr", tail="HAVING S.unit_score > 0.05"))
         expected = {k: v for k, v in
                     api_scores(snapshots, sql_workload, hyps,
@@ -152,22 +166,22 @@ class TestSqlVsApi:
 
 
 class TestOrderByLimit:
-    def test_order_by_desc_limit(self, context, snapshots, sql_workload,
+    def test_order_by_desc_limit(self, session, snapshots, sql_workload,
                                  hyps):
-        frame = run_inspect_sql(context, SQL_ALL.format(
+        frame = session.sql(SQL_ALL.format(
             measures="corr", tail="ORDER BY S.unit_score DESC LIMIT 5"))
         expected = sorted(api_scores(snapshots, sql_workload, hyps,
                                      ["corr"]).values(), reverse=True)[:5]
         assert len(frame) == 5
         assert frame["S.unit_score"] == expected
 
-    def test_order_by_ascending_no_limit(self, context):
-        frame = run_inspect_sql(context, SQL_ALL.format(
+    def test_order_by_ascending_no_limit(self, session):
+        frame = session.sql(SQL_ALL.format(
             measures="corr", tail="ORDER BY S.unit_score"))
         vals = frame["S.unit_score"]
         assert vals == sorted(vals)
 
-    def test_order_by_unprojected_column(self, context):
+    def test_order_by_unprojected_column(self, session):
         sql = """
             SELECT S.uid, S.hid
             INSPECT U.uid AND H.h USING corr OVER D.seq AS S
@@ -175,38 +189,38 @@ class TestOrderByLimit:
             WHERE M.mid = U.mid AND U.layer = 0
             ORDER BY S.unit_score DESC LIMIT 3
         """
-        frame = run_inspect_sql(context, sql)
+        frame = session.sql(sql)
         assert frame.columns == ["S.uid", "S.hid"]  # hidden key dropped
         assert len(frame) == 3
 
-    def test_limit_alone(self, context):
-        frame = run_inspect_sql(context, SQL_ALL.format(
+    def test_limit_alone(self, session):
+        frame = session.sql(SQL_ALL.format(
             measures="corr", tail="LIMIT 4"))
         assert len(frame) == 4
 
 
 class TestAmbiguity:
-    def test_ambiguous_where_reference_raises(self, context):
+    def test_ambiguous_where_reference_raises(self, session):
         with pytest.raises(AmbiguousColumnError, match="mid"):
-            run_inspect_sql(context, """
+            session.sql("""
                 SELECT S.uid
                 INSPECT U.uid AND H.h USING corr OVER D.seq AS S
                 FROM models M, units U, hypotheses H, inputs D
                 WHERE mid = 'sweep_e0'
             """)
 
-    def test_ambiguous_select_reference_raises(self, context):
+    def test_ambiguous_select_reference_raises(self, session):
         # "uid" lives in both the units table and the S relation
         with pytest.raises(AmbiguousColumnError, match="uid"):
-            run_inspect_sql(context, """
+            session.sql("""
                 SELECT uid
                 INSPECT U.uid AND H.h USING corr OVER D.seq AS S
                 FROM models M, units U, hypotheses H, inputs D
                 WHERE M.mid = U.mid
             """)
 
-    def test_qualified_references_work(self, context):
-        frame = run_inspect_sql(context, """
+    def test_qualified_references_work(self, session):
+        frame = session.sql("""
             SELECT S.uid
             INSPECT U.uid AND H.h USING corr OVER D.seq AS S
             FROM models M, units U, hypotheses H, inputs D
@@ -214,9 +228,9 @@ class TestAmbiguity:
         """)
         assert set(frame["S.uid"]) == set(LAYER0)
 
-    def test_unique_unqualified_reference_works(self, context):
+    def test_unique_unqualified_reference_works(self, session):
         # "layer" exists only in units; "epoch" only in models
-        frame = run_inspect_sql(context, """
+        frame = session.sql("""
             SELECT epoch, S.uid
             INSPECT U.uid AND H.h USING corr OVER D.seq AS S
             FROM models M, units U, hypotheses H, inputs D
@@ -225,10 +239,10 @@ class TestAmbiguity:
         assert set(frame["S.uid"]) == set(range(5, N_UNITS))
         assert set(frame["epoch"]) == {0}
 
-    def test_hypothesis_columns_track_s_hid(self, context, hyps):
+    def test_hypothesis_columns_track_s_hid(self, session, hyps):
         # each S row's representative catalog row is keyed per
         # (model, unit, hypothesis): H.h must agree with S.hid on every row
-        frame = run_inspect_sql(context, """
+        frame = session.sql("""
             SELECT S.hid, H.h
             INSPECT U.uid AND H.h USING corr OVER D.seq AS S
             FROM models M, units U, hypotheses H, inputs D
@@ -238,8 +252,8 @@ class TestAmbiguity:
         assert frame["S.hid"] == frame["H.h"]
         assert set(frame["H.h"]) == {h.name for h in hyps}
 
-    def test_having_on_hypothesis_column(self, context, hyps):
-        frame = run_inspect_sql(context, """
+    def test_having_on_hypothesis_column(self, session, hyps):
+        frame = session.sql("""
             SELECT S.uid, H.h
             INSPECT U.uid AND H.h USING corr OVER D.seq AS S
             FROM models M, units U, hypotheses H, inputs D
@@ -253,17 +267,9 @@ class TestAmbiguity:
                                         hyps):
         """GROUP BY D.did sweeps two datasets: one plan per dataset, and
         the d0 group's scores match the single-dataset query exactly."""
-        ctx = make_context(snapshots, sql_workload, hyps)
-        ctx.datasets["d1"] = sql_workload.dataset.head(30)
-        ctx.db.table("inputs").insert(["d1", "seq"])
+        ctx = two_dataset_session(snapshots, sql_workload, hyps)
         try:
-            frame = run_inspect_sql(ctx, """
-                SELECT D.did, S.mid, S.uid, S.hid, S.unit_score
-                INSPECT U.uid AND H.h USING corr OVER D.seq AS S
-                FROM models M, units U, hypotheses H, inputs D
-                WHERE M.mid = U.mid AND U.layer = 0
-                GROUP BY D.did
-            """)
+            frame = ctx.sql(SQL_BY_DID)
             assert set(frame["D.did"]) == {"d0", "d1"}
             per_did = len(snapshots) * len(LAYER0) * len(hyps)
             assert len(frame) == 2 * per_did
@@ -280,13 +286,50 @@ class TestAmbiguity:
         finally:
             ctx.close()
 
+    def test_multi_dataset_sql_and_stream_share_one_driver(
+            self, snapshots, sql_workload, hyps, tmp_path):
+        """Both surfaces run one block driver over both datasets: the
+        last streamed frame is bit-identical to sql()'s, and each cold
+        statement commits the store manifest once, not once per
+        dataset."""
+        with two_dataset_session(snapshots, sql_workload, hyps,
+                                 store_path=str(tmp_path / "a")) as ctx:
+            frame = ctx.sql(SQL_BY_DID)
+            assert ctx.store.stats()["commits"] == 1
+        with two_dataset_session(snapshots, sql_workload, hyps,
+                                 store_path=str(tmp_path / "b")) as ctx:
+            frames = list(ctx.stream_sql(SQL_BY_DID))
+            assert ctx.store.stats()["commits"] == 1
+        assert len(frames) == 2   # one block per dataset
+        assert frames[-1] == frame
+        for name in frame.columns:
+            assert np.asarray(frames[-1][name]).tobytes() == \
+                np.asarray(frame[name]).tobytes()
+
+    def test_abandoned_into_stream_creates_no_table(self, snapshots,
+                                                    sql_workload, hyps):
+        """INTO persists only a completed run: a stream abandoned after
+        its first frame (one dataset of two scored) writes no table."""
+        statement = SQL_BY_DID.replace("SELECT D.did, S.mid, S.uid, "
+                                       "S.hid, S.unit_score",
+                                       "SELECT D.did, S.uid, S.unit_score "
+                                       "INTO saved")
+        with two_dataset_session(snapshots, sql_workload, hyps) as ctx:
+            stream = ctx.stream_sql(statement)
+            next(stream)
+            stream.close()
+            assert "saved" not in ctx.db.tables
+            list(ctx.stream_sql(statement))   # a completed run does write
+            assert len(ctx.db.table("saved")) == \
+                2 * len(snapshots) * len(LAYER0) * len(hyps)
+
     def test_undeterminable_dataset_raises(self, snapshots, sql_workload,
                                            hyps):
-        ctx = make_context(snapshots, sql_workload, hyps)
+        ctx = make_session(snapshots, sql_workload, hyps)
         ctx.datasets["d1"] = sql_workload.dataset  # second dataset
         try:
             with pytest.raises(ValueError, match="dataset"):
-                run_inspect_sql(ctx, """
+                ctx.sql("""
                     SELECT S.uid
                     INSPECT U.uid AND H.h USING corr OVER D.seq AS S
                     FROM models M, units U, hypotheses H
@@ -295,19 +338,19 @@ class TestAmbiguity:
         finally:
             ctx.close()
 
-    def test_user_table_named_like_temp_survives(self, context):
+    def test_user_table_named_like_temp_survives(self, session):
         # the S relation runs in a throwaway catalog; a user table with
         # the same name must neither be read nor dropped
-        context.db.create_table("__inspect_s__", ["x"], [[1]])
-        frame = run_inspect_sql(context, SQL_ALL.format(measures="corr",
-                                                        tail="LIMIT 2"))
+        session.db.create_table("__inspect_s__", ["x"], [[1]])
+        frame = session.sql(SQL_ALL.format(measures="corr",
+                                           tail="LIMIT 2"))
         assert len(frame) == 2
-        assert "__inspect_s__" in context.db.tables
-        assert len(context.db.table("__inspect_s__")) == 1
+        assert "__inspect_s__" in session.db.tables
+        assert len(session.db.table("__inspect_s__")) == 1
 
-    def test_unbound_column_raises(self, context):
+    def test_unbound_column_raises(self, session):
         with pytest.raises(KeyError, match="unbound"):
-            run_inspect_sql(context, """
+            session.sql("""
                 SELECT S.uid
                 INSPECT U.uid AND H.h USING corr OVER D.seq AS S
                 FROM models M, units U, hypotheses H, inputs D
@@ -321,9 +364,9 @@ class TestSharedExtraction:
         """The acceptance check: a GROUP BY M.epoch sweep over 4 snapshots
         runs unit extraction once per (model, dataset) and hypothesis
         extraction once per hypothesis, across ALL groups."""
-        ctx = make_context(snapshots, sql_workload, hyps)
+        ctx = make_session(snapshots, sql_workload, hyps)
         try:
-            frame = run_inspect_sql(ctx, SQL_ALL.format(
+            frame = ctx.sql(SQL_ALL.format(
                 measures="corr", tail="GROUP BY M.epoch"))
             assert len(frame) == len(snapshots) * len(LAYER0) * len(hyps)
             assert ctx.unit_cache.stats()["extractions"] == len(snapshots)
@@ -339,8 +382,7 @@ class TestSharedExtraction:
                 len(hyps) * MAX_RECORDS
 
             # a warm re-run touches the extractors zero further times
-            run_inspect_sql(ctx, SQL_ALL.format(measures="corr",
-                                                tail="GROUP BY M.epoch"))
+            ctx.sql(SQL_ALL.format(measures="corr", tail="GROUP BY M.epoch"))
             assert ctx.unit_cache.stats()["extractions"] == len(snapshots)
             assert ctx.hyp_cache.stats()["extractions"] == len(hyps)
             assert ctx.unit_cache.stats()["hits"] >= \
@@ -352,9 +394,9 @@ class TestSharedExtraction:
                                                        sql_workload, hyps):
         """GROUP BY H.name puts the same (model, unit-set) in every group;
         the shared plan must score it once, not once per group."""
-        ctx = make_context(snapshots, sql_workload, hyps)
+        ctx = make_session(snapshots, sql_workload, hyps)
         try:
-            frame = run_inspect_sql(ctx, """
+            frame = ctx.sql("""
                 SELECT S.mid, S.uid, S.hid, S.unit_score
                 INSPECT U.uid AND H.h USING corr OVER D.seq AS S
                 FROM models M, units U, hypotheses H, inputs D
@@ -371,17 +413,17 @@ class TestSharedExtraction:
                                                      sql_workload, hyps,
                                                      tmp_path):
         """A session opened on a store path persists the epoch sweep; a
-        second context (fresh caches, fresh store handle — a restarted
+        second session (fresh caches, fresh store handle — a restarted
         process) serves the same sweep from the disk tier with zero
         extractor invocations and identical scores."""
         sql = SQL_ALL.format(measures="corr", tail="GROUP BY M.epoch")
-        with make_context(snapshots, sql_workload, hyps,
+        with make_session(snapshots, sql_workload, hyps,
                           store_path=str(tmp_path)) as ctx:
-            cold = run_inspect_sql(ctx, sql)
+            cold = ctx.sql(sql)
             assert ctx.unit_cache.stats()["extractions"] == len(snapshots)
-        with make_context(snapshots, sql_workload, hyps,
+        with make_session(snapshots, sql_workload, hyps,
                           store_path=str(tmp_path)) as ctx2:
-            warm = run_inspect_sql(ctx2, sql)
+            warm = ctx2.sql(sql)
             unit_stats = ctx2.unit_cache.stats()
             assert unit_stats["extractions"] == 0
             assert unit_stats["disk_hits"] == len(snapshots) * MAX_RECORDS
@@ -393,10 +435,10 @@ class TestSharedExtraction:
         """A pinned scheduler/cache config bypasses session defaults."""
         cfg = InspectConfig(mode="full", max_records=MAX_RECORDS,
                             scheduler="serial")
-        ctx = make_context(snapshots, sql_workload, hyps, config=cfg)
+        ctx = make_session(snapshots, sql_workload, hyps, config=cfg)
         try:
             assert ctx.effective_config().scheduler == "serial"
-            ctx2 = make_context(snapshots, sql_workload, hyps,
+            ctx2 = make_session(snapshots, sql_workload, hyps,
                                 session_defaults=False)
             assert ctx2.effective_config() is ctx2.config
             assert ctx2.hyp_cache is None and ctx2.unit_cache is None

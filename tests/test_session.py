@@ -16,8 +16,8 @@ import pytest
 
 from repro import (HypothesisCache, InspectConfig, Session,
                    ThreadPoolScheduler, UnitBehaviorCache, inspect)
-from repro.db import Database
-from repro.db.inspect_clause import InspectQuery, run_inspect_sql
+from repro.db.inspect_clause import run_inspect_spec
+from repro.db.sqlparser import parse_sql
 from repro.extract import RnnActivationExtractor
 from repro.hypotheses.library import sql_keyword_hypotheses
 from repro.measures import CorrelationScore
@@ -88,20 +88,22 @@ class TestSharedResources:
                              [CorrelationScore("pearson")], hyps,
                              config=config)
         assert frame == standalone
-        db = Database()
-        db.create_table("models", ["mid"], [["m0"]])
-        db.create_table("units", ["mid", "uid", "layer"],
-                        [["m0", u, 0]
-                         for u in range(trained_sql_model.n_units)])
-        db.create_table("hypotheses", ["h", "name"],
-                        [[h.name, "keywords"] for h in hyps])
-        db.create_table("inputs", ["did", "seq"], [["d0", "seq"]])
-        with InspectQuery(db=db, models={"m0": trained_sql_model},
-                          hypotheses={h.name: h for h in hyps},
-                          datasets={"d0": sql_workload.dataset},
-                          extractor=RnnActivationExtractor(),
-                          config=config) as ctx:
-            assert run_inspect_sql(ctx, INSPECT_SQL).rows() == sql_rows
+        # a hand-built catalog on a serial, cache-less session answers
+        # the SQL statement with the same rows
+        with Session(extractor=RnnActivationExtractor(), config=config,
+                     session_defaults=False) as ref:
+            ref.register_model("m0", trained_sql_model, catalog=False)
+            ref.register_dataset("d0", sql_workload.dataset, catalog=False)
+            ref.register_hypotheses(hyps, catalog=False)
+            db = ref.db
+            db.create_table("models", ["mid"], [["m0"]])
+            db.create_table("units", ["mid", "uid", "layer"],
+                            [["m0", u, 0]
+                             for u in range(trained_sql_model.n_units)])
+            db.create_table("hypotheses", ["h", "name"],
+                            [[h.name, "keywords"] for h in hyps])
+            db.create_table("inputs", ["did", "seq"], [["d0", "seq"]])
+            assert ref.sql(INSPECT_SQL).rows() == sql_rows
 
     def test_name_resolution_errors(self, trained_sql_model, sql_workload,
                                     hyps):
@@ -182,20 +184,6 @@ class TestSharedResources:
             session.register_hypotheses(hyps[:1])
             with pytest.raises(ValueError, match="hypothesis attributes"):
                 session.register_hypotheses(hyps[1:], family="kw")
-
-    def test_inspectquery_register_model_keeps_seed_attr_surface(
-            self, trained_sql_model, sql_workload, hyps):
-        """Seed API: ANY attr name is a catalog column — including names
-        Session.register_model reserves as keywords."""
-        db = Database()
-        with InspectQuery(db=db, models={}, hypotheses={}, datasets={},
-                          extractor=RnnActivationExtractor()) as ctx:
-            ctx.register_model("m0", trained_sql_model, units=3, layer=2)
-            table = db.table("models")
-            assert table.columns == ["mid", "layer", "units"]
-            assert table.rows == [("m0", 2, 3)]
-            assert ctx.models["m0"] is trained_sql_model
-            assert "units" not in db.tables  # no implicit units rows
 
 
 # ----------------------------------------------------------------------
@@ -291,10 +279,12 @@ class TestLifecycle:
             stale.run()
         with pytest.raises(RuntimeError, match="closed"):
             next(stale.stream())
-        # the lower-level entry point that takes the session as its
-        # context resolves its config through the same guard
         with pytest.raises(RuntimeError, match="closed"):
-            run_inspect_sql(session, INSPECT_SQL)
+            session.stream_sql(INSPECT_SQL)
+        # the lower-level entry point that takes the session resolves its
+        # config through the same guard
+        with pytest.raises(RuntimeError, match="closed"):
+            run_inspect_spec(session, parse_sql(INSPECT_SQL))
 
     def test_store_commits_exactly_once_per_run(self, tmp_path,
                                                 trained_sql_model,
@@ -346,6 +336,22 @@ class TestLifecycle:
         s2 = DiskBehaviorStore(tmp_path / "b")
         with pytest.raises(ValueError, match="conflicting store"):
             Session(store=s1, config=InspectConfig(store=s2))
+
+    def test_resources_rejected_without_session_defaults(self, tmp_path):
+        """session_defaults=False runs with config exactly as given, so a
+        store or scheduler passed beside it would be silently dropped."""
+        with pytest.raises(ValueError, match="config="):
+            Session(str(tmp_path / "store"), scheduler="threads",
+                    session_defaults=False)
+        for kwargs in ({"store": DiskBehaviorStore(tmp_path / "s")},
+                       {"scheduler": "serial"}, {"sweep_gate": object()}):
+            with pytest.raises(ValueError, match="config="):
+                Session(session_defaults=False, **kwargs)
+        # through config= the same resources are honoured
+        store = DiskBehaviorStore(tmp_path / "c")
+        with Session(config=InspectConfig(store=store, scheduler="serial"),
+                     session_defaults=False) as session:
+            assert session.effective_config().store is store
 
 
 # ----------------------------------------------------------------------

@@ -146,6 +146,19 @@ class TestStreamTracking:
         assert after["streams_abandoned"] - before["streams_abandoned"] == 1
         assert after["completed"] == before["completed"]
 
+    def test_unparsable_stream_counts_failed(self, session):
+        """A statement that fails to parse counts exactly like sql() does:
+        started and failed, with the syntax error still raised eagerly."""
+        from repro.db.sqlparser import SqlSyntaxError
+        for surface in (session.sql, session.stream_sql):
+            before = session.stats()["queries"]
+            with pytest.raises(SqlSyntaxError):
+                surface("SELEC nonsense")
+            after = session.stats()["queries"]
+            assert after["started"] - before["started"] == 1
+            assert after["failed"] - before["failed"] == 1
+            assert after["completed"] == before["completed"]
+
     def test_abandoned_stream_stops_extraction(self, trained_sql_model,
                                                sql_workload):
         counting = CountingForwardModel(trained_sql_model)

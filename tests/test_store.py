@@ -578,14 +578,3 @@ class TestSchedulerLifecycle:
                     [CorrelationScore()], hyps,
                     config=InspectConfig(scheduler="threads", **cfg_kwargs))
         assert threading.active_count() <= settled
-
-    def test_inspect_query_context_manager_shuts_down_session_pool(self):
-        from repro.db.engine import Database
-        from repro.db.inspect_clause import InspectQuery
-        with InspectQuery(db=Database(), models={}, hypotheses={},
-                          datasets={}, extractor=RnnActivationExtractor()
-                          ) as ctx:
-            if isinstance(ctx.scheduler, ThreadPoolScheduler):
-                ctx.scheduler.map(lambda x: x, [1, 2])
-        if isinstance(ctx.scheduler, ThreadPoolScheduler):
-            assert ctx.scheduler._pool is None
