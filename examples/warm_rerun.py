@@ -19,10 +19,11 @@ a byte budget afterwards.
 cores: the coordinator describes picklable shard tasks, pool workers
 write activation shards straight into ``./behavior_store``, and the
 session adopts them into the manifest in its single commit — same store
-layout, same scores, warm reruns unchanged.  The default (``auto``)
-lets :func:`repro.core.pipeline.default_scheduler` decide: serial on
-every host unless the ``REPRO_SCHEDULER`` environment variable names a
-pool.
+layout, same scores, warm reruns unchanged.  The scheduler travels on
+the session's :class:`repro.InspectConfig`; the default (``auto``)
+leaves it unset, so :func:`repro.core.pipeline.default_scheduler`
+decides: serial on every host unless the ``REPRO_SCHEDULER`` environment
+variable names a pool.
 """
 
 import argparse
@@ -30,7 +31,7 @@ import shutil
 import time
 from pathlib import Path
 
-from repro import Session
+from repro import InspectConfig, Session
 from repro.data import generate_sql_workload
 from repro.hypotheses import grammar_hypotheses
 from repro.hypotheses.library import sql_keyword_hypotheses
@@ -67,8 +68,9 @@ def main() -> None:
     hypotheses += sql_keyword_hypotheses()
 
     print(f"\n== Session over the persistent store at ./{STORE_DIR} ==")
-    scheduler = None if args.scheduler == "auto" else args.scheduler
-    with Session(STORE_DIR, scheduler=scheduler) as session:
+    config = InspectConfig(
+        scheduler=None if args.scheduler == "auto" else args.scheduler)
+    with Session(STORE_DIR, config=config) as session:
         print(f"scheduler: {session.scheduler.name}")
         was_empty = not session.store.keys()
         session.register_model("sql_char_model", model)

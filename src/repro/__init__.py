@@ -36,7 +36,6 @@ from repro.core.inspect import InspectConfig, inspect, top_units
 from repro.core.pipeline import (InspectionPlan, ProcessPoolScheduler,
                                  Scheduler, SerialScheduler,
                                  ThreadPoolScheduler)
-from repro.core.progressive import inspect_progressive
 from repro.core.saliency import saliency_frame, top_symbols
 from repro.session import InspectionQuery, Session
 from repro.store import DiskBehaviorStore
@@ -61,7 +60,6 @@ __all__ = [
     "__version__",
     "all_units_group",
     "inspect",
-    "inspect_progressive",
     "layer_groups",
     "saliency_frame",
     "top_symbols",

@@ -35,7 +35,6 @@ Wall-clock is charged to ``unit_extraction``, ``hypothesis_extraction`` and
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import multiprocessing
 import os
 import shutil
@@ -241,10 +240,6 @@ def default_scheduler(store: DiskBehaviorStore | None = None) -> Scheduler:
 _SCHEDULERS = {"serial": SerialScheduler, "threads": ThreadPoolScheduler,
                "processes": ProcessPoolScheduler}
 
-#: guards InspectConfig._store_tiers memoization (one pair per config even
-#: when concurrent runs share the config object)
-_STORE_TIER_LOCK = threading.Lock()
-
 
 def _resolve_scheduler(spec) -> tuple[Scheduler, bool]:
     """Returns (scheduler, owned); owned schedulers are shut down after use."""
@@ -267,7 +262,16 @@ def _resolve_scheduler(spec) -> tuple[Scheduler, bool]:
 # ----------------------------------------------------------------------
 @dataclass
 class InspectConfig:
-    """Execution knobs for one inspection run."""
+    """Execution knobs and shared resources for inspection runs.
+
+    Besides the per-run knobs (mode, block size, thresholds...), a config
+    carries every resource a run uses: the memory tiers (``cache``,
+    ``unit_cache``), the persistent ``store``, the ``scheduler`` and the
+    ``sweep_gate``.  A :class:`~repro.session.Session` fills these once,
+    when it opens, and runs every query on its config; a config handed
+    to :func:`repro.inspect` runs exactly as given.  When ``store`` is
+    set, missing memory tiers are built over it here.
+    """
 
     mode: str = "streaming"
     early_stop: bool = True
@@ -280,7 +284,6 @@ class InspectConfig:
     store: DiskBehaviorStore | None = None   # persistent disk tier
     scheduler: Scheduler | str | None = None  # None -> serial
     partition: bool = True      # per-hypothesis-column early stopping
-    partition_min_rows: int = 0  # rows a state must see before freezing
     #: cross-query single-flight gate over cold raw sweeps.  Anything
     #: exposing ``lease(keys, cold=predicate) -> context manager`` works
     #: (the inspection server installs a
@@ -292,9 +295,6 @@ class InspectConfig:
     sweep_gate: object | None = None
     stopwatch: Stopwatch | None = None
     max_records: int | None = None
-    # memoized store-backed tiers (see with_store_tiers); never replace()d
-    _store_tiers: tuple | None = field(default=None, init=False, repr=False,
-                                       compare=False)
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -310,7 +310,7 @@ class InspectConfig:
                 f"{tuple(_SCHEDULERS)} or a Scheduler instance")
         # a memory tier wired to one store while config.store names another
         # would silently split the persistent state across directories —
-        # reject the conflict here, where every with_*() copy re-validates
+        # reject the conflict here, where every replace() copy re-validates
         for label, tier in (("cache", self.cache),
                             ("unit_cache", self.unit_cache)):
             tier_store = getattr(tier, "store", None)
@@ -320,68 +320,18 @@ class InspectConfig:
                     f"conflicting store wiring: {label} is backed by a "
                     "different DiskBehaviorStore than config.store; pass "
                     "one store object to both (or drop store=)")
+        # a disk tier implies caching: missing memory tiers are built over
+        # the store, so behaviors persist across processes that never share
+        # a cache object.  They are ordinary fields, so replace() copies
+        # (per-query overrides, the SQL driver's run config) keep them and
+        # every run of this config shares one memory tier and its counters
+        if self.store is not None:
+            if self.cache is None:
+                self.cache = HypothesisCache(store=self.store)
+            if self.unit_cache is None:
+                self.unit_cache = UnitBehaviorCache(store=self.store)
         if self.stopwatch is None:
             self.stopwatch = Stopwatch()
-
-    def with_session_defaults(
-            self, cache: HypothesisCache | None = None,
-            unit_cache: UnitBehaviorCache | None = None,
-            scheduler: Scheduler | str | None = None,
-            store: DiskBehaviorStore | None = None,
-            sweep_gate: object | None = None) -> "InspectConfig":
-        """A copy with unset sharing knobs filled from session defaults.
-
-        The session layer keeps per-session caches, a persistent behavior
-        store and one scheduler; a config that did not pin those fields
-        inherits them, so repeated queries in one session share extracted
-        behaviors (and across sessions, through the store), while an
-        explicitly-configured run is left untouched.  The operation is
-        idempotent: fields filled by one call are pinned, so a second call
-        (with the same or another session's defaults) changes nothing.
-        """
-        if (cache is None or self.cache is not None) \
-                and (unit_cache is None or self.unit_cache is not None) \
-                and (store is None or self.store is not None) \
-                and (scheduler is None or self.scheduler is not None) \
-                and (sweep_gate is None or self.sweep_gate is not None):
-            return self  # nothing to fill: don't build a copy per query
-        return dataclasses.replace(
-            self,
-            cache=self.cache if self.cache is not None else cache,
-            unit_cache=(self.unit_cache if self.unit_cache is not None
-                        else unit_cache),
-            store=self.store if self.store is not None else store,
-            scheduler=(self.scheduler if self.scheduler is not None
-                       else scheduler),
-            sweep_gate=(self.sweep_gate if self.sweep_gate is not None
-                        else sweep_gate))
-
-    def with_store_tiers(self) -> "InspectConfig":
-        """A copy whose caches sit on top of ``store``, when one is set.
-
-        A configured disk tier implies caching: runs that did not pin their
-        own memory tiers get fresh ones backed by the store, so behaviors
-        persist (and warm reads come back) even across processes that never
-        share a cache object.  The derived tiers are memoized on this
-        config, so repeated calls (every plan build re-applies this) hand
-        back the *same* memory tiers instead of silently stacking a fresh
-        pair per run — repeated runs of one config share their memory tier
-        and report coherent hit counters.
-        """
-        if self.store is None or (self.cache is not None
-                                  and self.unit_cache is not None):
-            return self
-        with _STORE_TIER_LOCK:  # configs are shared across pool threads
-            if self._store_tiers is None \
-                    or self._store_tiers[0] is not self.store:
-                self._store_tiers = (self.store,
-                                     HypothesisCache(store=self.store),
-                                     UnitBehaviorCache(store=self.store))
-            _, hyp_tier, unit_tier = self._store_tiers
-        return dataclasses.replace(
-            self,
-            cache=self.cache or hyp_tier,
-            unit_cache=self.unit_cache or unit_tier)
 
     def threshold_for(self, score_id: str) -> float:
         if isinstance(self.error_threshold, (int, float)):
@@ -700,7 +650,6 @@ class ScoreTask:
                            and not self.single_shot)
         self.partition = (self.early_stop and config.partition
                           and measure.supports_partition)
-        self.partition_min_rows = config.partition_min_rows
         self.state = (None if self.single_shot
                       else measure.new_state(group.n_units, n_hyps))
         self.active_cols = np.arange(n_hyps)
@@ -746,8 +695,6 @@ class ScoreTask:
             self.done = True
 
     def _freeze_converged(self) -> None:
-        if self.state.n_rows < self.partition_min_rows:
-            return
         errors = self.state.column_errors()
         if errors is None:  # state opted out at runtime: scalar fallback
             if self.state.error() <= self.threshold:
@@ -864,7 +811,6 @@ class InspectionPlan:
             raise ValueError("need at least one measure")
         if not hypotheses:
             raise ValueError("need at least one hypothesis function")
-        config = config.with_store_tiers()
         rng = new_rng(config.seed)
         n_records = dataset.n_records
         if config.max_records is not None:

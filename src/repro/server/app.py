@@ -23,7 +23,7 @@ Queries execute on the admission controller's bounded thread pool —
 they are blocking CPU work and must not run on the event loop; the
 event loop only parses envelopes, moves frames and enforces quotas.
 Cross-client forward-pass dedup is installed by default: the server
-puts a :class:`~repro.server.dedup.SweepRegistry` on the session's
+puts a :class:`~repro.server.dedup.SweepRegistry` on the session config's
 ``sweep_gate`` so N concurrent identical cold queries extract once.
 """
 
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import dataclasses
 import threading
 import time
 from typing import Iterator
@@ -59,8 +60,9 @@ class InspectionServer:
             max_concurrent=max_concurrent,
             per_client_inflight=per_client_inflight,
             per_client_queue=per_client_queue)
-        if dedup and getattr(session, "sweep_gate", None) is None:
-            session.sweep_gate = SweepRegistry()
+        if dedup and session.config.sweep_gate is None:
+            session.config = dataclasses.replace(session.config,
+                                                 sweep_gate=SweepRegistry())
         self._server: asyncio.AbstractServer | None = None
         self._conn_tasks: set[asyncio.Task] = set()
         self._conn_writers: set[asyncio.StreamWriter] = set()
@@ -307,7 +309,7 @@ class InspectionServer:
         out = {"type": "stats", "server": dict(self._counts),
                "session": self.session.stats(),
                "admission": self.admission.stats()}
-        gate = getattr(self.session, "sweep_gate", None)
+        gate = self.session.config.sweep_gate
         if gate is not None and hasattr(gate, "stats"):
             out["dedup"] = gate.stats()
         return out

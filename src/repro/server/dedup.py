@@ -27,8 +27,9 @@ Two properties matter more than strict exclusion:
 The registry plugs into the plan executor through
 ``InspectConfig.sweep_gate`` (see
 :meth:`~repro.core.pipeline.InspectionPlan.execute_blocks`): the server
-installs one on its shared session, and every query — HTTP, websocket,
-or in-process Python issued on the same session — shares it.
+sets one on its shared session's config (``session.config.sweep_gate``),
+and every query — HTTP, websocket, or in-process Python issued on the
+same session — runs on that config and shares it.
 """
 
 from __future__ import annotations

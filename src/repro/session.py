@@ -3,15 +3,17 @@
 DeepBase frames Deep Neural Inspection as a declarative query system
 (Section 4): users *connect*, register models, datasets and hypothesis
 functions, and issue queries the engine optimizes and answers
-incrementally.  :class:`Session` is that connection.  It owns the resource
-lifecycle every query shares —
+incrementally.  :class:`Session` is that connection.  Its
+:class:`~repro.core.pipeline.InspectConfig` carries the resources every
+query shares, filled in once when the session opens —
 
 * a :class:`~repro.core.cache.HypothesisCache` and a
   :class:`~repro.core.cache.UnitBehaviorCache` (memory tiers),
 * optionally a persistent :class:`~repro.store.DiskBehaviorStore`
-  (``store_path=``), which the caches write through to with run-scoped
-  deferred commits (one manifest rewrite per query),
-* one scheduler — serial unless pinned or named by ``REPRO_SCHEDULER``
+  (``store_path=`` or ``config.store``), which the caches write through
+  to with run-scoped deferred commits (one manifest rewrite per query),
+* one scheduler — serial unless ``config.scheduler`` or
+  ``REPRO_SCHEDULER`` names another
   (:func:`~repro.core.pipeline.default_scheduler`),
 
 — and carries name registries (:meth:`register_model`,
@@ -41,9 +43,9 @@ both query surfaces:
 
 A session is the only binding context the INSPECT compiler sees: its
 registries, catalog and caches always belong to it.  ``close()`` (or
-leaving the ``with`` block) flushes the store and shuts down the
-scheduler pool.  The seed :func:`repro.inspect` call is a thin shim over
-an ephemeral ``Session``.
+leaving the ``with`` block) closes the store (pending commits flushed,
+shard maps released) and shuts down the scheduler pool.  The seed
+:func:`repro.inspect` call is a thin shim over an ephemeral ``Session``.
 """
 
 from __future__ import annotations
@@ -82,8 +84,8 @@ class Session:
     ----------
     store_path:
         Directory for a persistent :class:`DiskBehaviorStore`; the session
-        caches become memory tiers over it (``store=`` passes an existing
-        store object instead).
+        caches become memory tiers over it (``config.store`` passes an
+        existing store object instead).
     db_path:
         Directory for a persistent paged SQL catalog (see :attr:`db`);
         the catalog is in memory when omitted.  ``register_*`` fills it.
@@ -91,45 +93,36 @@ class Session:
         Default unit-behavior extractor for both query surfaces; defaults
         to :class:`~repro.extract.rnn.RnnActivationExtractor`.
     config:
-        Base :class:`InspectConfig` every query derives from.  Fields it
-        pins (an explicit cache, scheduler, store...) override the
-        session's resources for every query, exactly like the seed APIs.
-    scheduler:
-        The scheduler (an instance or a name) every query shares unless
-        its config pins one; defaults to
-        :func:`~repro.core.pipeline.default_scheduler`.
-    sweep_gate:
-        Cross-query single-flight gate over cold sweeps (the inspection
-        server installs one).
+        The :class:`InspectConfig` every query runs on.  The session fills
+        what it leaves unset, once: the store from ``store_path``, the
+        scheduler (:func:`~repro.core.pipeline.default_scheduler`, or one
+        instance for a scheduler name) and the memory tiers.  Fields it
+        pins — a cache, a store, a scheduler instance, a sweep gate — are
+        used as given.
     session_defaults:
-        When False the session creates *no* resources of its own and
-        :meth:`effective_config` returns ``config`` untouched — the
-        serial, cache-less reference mode the seed :func:`repro.inspect`
-        shim runs in.  Resources then come only from ``config``, so
-        passing ``store_path``, ``store``, ``scheduler`` or
-        ``sweep_gate`` as well is an error.
+        When False the session fills in *nothing*: every query runs
+        ``config`` exactly as given — the serial, cache-less reference
+        mode the seed :func:`repro.inspect` shim runs in — so passing
+        ``store_path`` as well is an error.
     """
 
     def __init__(self, store_path=None, *,
-                 store: DiskBehaviorStore | None = None,
                  db_path: str | None = None,
                  extractor: Extractor | None = None,
                  config: InspectConfig | None = None,
-                 scheduler: Scheduler | str | None = None,
-                 sweep_gate=None,
                  session_defaults: bool = True):
-        if not session_defaults and any(
-                v is not None for v in (store_path, store, scheduler,
-                                        sweep_gate)):
+        config = config or InspectConfig()
+        if session_defaults:
+            config = self._own_resources(config, store_path)
+        elif store_path is not None:
             raise ValueError(
                 "session_defaults=False runs with config exactly as given; "
-                "pass the store, scheduler or sweep gate through config= "
-                "(an InspectConfig) instead of as Session arguments")
-        self.config = config or InspectConfig()
-        #: cross-query single-flight gate over cold raw sweeps (the
-        #: inspection server installs a SweepRegistry here); threaded into
-        #: every query's config via :meth:`effective_config`
-        self.sweep_gate = sweep_gate
+                "pass the store through config= (an InspectConfig) instead "
+                "of as a Session argument")
+        #: the config every query runs on; it carries the session's store,
+        #: caches, scheduler and sweep gate
+        self.config = config
+        self.session_defaults = session_defaults
         # registration mutates the registries AND the SQL catalog (drop +
         # re-insert rows, lazy table creation): concurrent server queries
         # registering models must not interleave those steps.  RLock:
@@ -140,16 +133,6 @@ class Session:
         self._query_lock = threading.Lock()
         self._query_counts = {"started": 0, "completed": 0, "failed": 0,
                               "cancelled": 0, "streams_abandoned": 0}
-        if store is None and store_path is not None:
-            store = DiskBehaviorStore(store_path)
-        if store is None:
-            store = self.config.store
-        elif self.config.store is not None and self.config.store is not store:
-            raise ValueError(
-                "conflicting store settings: the session was given one "
-                "DiskBehaviorStore and config.store names another; pass a "
-                "single store object (or drop one of them)")
-        self.store = store
         self.models: dict = {}
         self.hypotheses: dict[str, HypothesisFunction] = {}
         self.datasets: dict[str, Dataset] = {}
@@ -159,36 +142,63 @@ class Session:
             from repro.extract.rnn import RnnActivationExtractor
             extractor = RnnActivationExtractor()
         self.extractor = extractor
-        self.session_defaults = session_defaults
-        self.hyp_cache: HypothesisCache | None = None
-        self.unit_cache: UnitBehaviorCache | None = None
-        self.scheduler = scheduler
         self._closed = False
-        if session_defaults:
-            if self.scheduler is None and self.config.scheduler is None:
-                self.scheduler = default_scheduler()
-                # the session owns this scheduler: release its worker pool
-                # when the session is collected, not only on close()
-                weakref.finalize(self, self.scheduler.shutdown)
-            elif isinstance(self.scheduler, str):
-                # resolve name specs to one session-owned instance, so
-                # every query (Python and SQL) shares a single pool
-                # instead of building an ephemeral one per statement
-                self.scheduler, _ = _resolve_scheduler(self.scheduler)
-                weakref.finalize(self, self.scheduler.shutdown)
-            # a store-less session running the process scheduler still
-            # needs an exchange medium for worker shards: back the caches
-            # with the scheduler's temp-dir scratch store (removed on
-            # scheduler shutdown), so shard-parallel extraction works —
-            # and stays warm across queries — without a store_path
-            backing = self.store
-            if backing is None and isinstance(self.scheduler,
-                                              ProcessPoolScheduler):
-                backing = self.scheduler.scratch_store()
-            if self.config.cache is None:
-                self.hyp_cache = HypothesisCache(store=backing)
-            if self.config.unit_cache is None:
-                self.unit_cache = UnitBehaviorCache(store=backing)
+
+    def _own_resources(self, config: InspectConfig,
+                       store_path) -> InspectConfig:
+        """``config`` with the store, scheduler and caches filled in."""
+        if store_path is not None:
+            if config.store is not None:
+                raise ValueError(
+                    "conflicting store settings: the session was given a "
+                    "store_path and config.store names a store; pass one "
+                    "of them")
+            # InspectConfig builds the memory tiers over the store
+            config = dataclasses.replace(
+                config, store=DiskBehaviorStore(store_path))
+        scheduler = config.scheduler
+        if not isinstance(scheduler, Scheduler):
+            # resolve None or a name to one session-owned instance, so
+            # every query (Python and SQL) shares a single pool instead of
+            # building one per statement; release it when the session is
+            # collected, not only on close()
+            scheduler = (default_scheduler() if scheduler is None
+                         else _resolve_scheduler(scheduler)[0])
+            weakref.finalize(self, scheduler.shutdown)
+        # a store-less session running the process scheduler still needs
+        # an exchange medium for worker shards: back the caches with the
+        # scheduler's temp-dir scratch store (removed on scheduler
+        # shutdown), so shard-parallel extraction works — and stays warm
+        # across queries — without a store_path
+        backing = config.store
+        if backing is None and isinstance(scheduler, ProcessPoolScheduler):
+            backing = scheduler.scratch_store()
+        return dataclasses.replace(
+            config, scheduler=scheduler,
+            cache=config.cache or HypothesisCache(store=backing),
+            unit_cache=(config.unit_cache
+                        or UnitBehaviorCache(store=backing)))
+
+    # -- resources (views of the config) --------------------------------
+    @property
+    def store(self) -> DiskBehaviorStore | None:
+        """The persistent disk tier, ``config.store``."""
+        return self.config.store
+
+    @property
+    def hyp_cache(self) -> HypothesisCache | None:
+        """The hypothesis-behavior memory tier, ``config.cache``."""
+        return self.config.cache
+
+    @property
+    def unit_cache(self) -> UnitBehaviorCache | None:
+        """The unit-behavior memory tier, ``config.unit_cache``."""
+        return self.config.unit_cache
+
+    @property
+    def scheduler(self) -> Scheduler | str | None:
+        """The scheduler every query shares, ``config.scheduler``."""
+        return self.config.scheduler
 
     # -- lifecycle ------------------------------------------------------
     @property
@@ -218,23 +228,26 @@ class Session:
         return self._closed
 
     def close(self) -> None:
-        """Flush the store and shut the scheduler pool down.
+        """Close the store and shut the scheduler pool down.
 
         Idempotent; after closing, issuing queries through this session
         raises :class:`RuntimeError` (a shut-down pool would otherwise
-        silently respawn its worker threads).  The session's scheduler is
-        shut down even when the caller supplied it, so a ``with`` block
-        never leaks a pool; a scheduler shared with another *live* session
-        stays usable there, lazily respawning its pool on next use.
+        silently respawn its worker threads).  Closing the store flushes
+        pending commits and unmaps its shard files; the store object stays
+        usable.  A session with ``session_defaults`` shuts its scheduler
+        down even when ``config`` supplied the instance, so a ``with``
+        block never leaks a pool; a scheduler shared with another *live*
+        session stays usable there, lazily respawning its pool on next
+        use.
         """
         if self._closed:
             return
         self._closed = True
         if self.store is not None:
-            self.store.flush()
+            self.store.close()
         if self._db is not None:
             self._db.close()  # commits staged catalog/score tables
-        if isinstance(self.scheduler, Scheduler):
+        if self.session_defaults:
             self.scheduler.shutdown()
 
     def __enter__(self) -> "Session":
@@ -422,7 +435,7 @@ class Session:
 
     # -- query surfaces -------------------------------------------------
     def effective_config(self) -> InspectConfig:
-        """The per-run config with the session's resources filled in.
+        """The config queries run on, :attr:`config`.
 
         Raises once the session is closed — every query path (builder,
         ``sql()``, and the lower-level ``run_inspect_spec`` entry points
@@ -430,12 +443,7 @@ class Session:
         so none of them can silently respawn a shut-down pool.
         """
         self._check_open()
-        if not self.session_defaults:
-            return self.config
-        return self.config.with_session_defaults(
-            cache=self.hyp_cache, unit_cache=self.unit_cache,
-            scheduler=self.scheduler, store=self.store,
-            sweep_gate=self.sweep_gate)
+        return self.config
 
     def inspect(self, models=None, dataset=None, *,
                 extractor: Extractor | None = None) -> "InspectionQuery":

@@ -216,24 +216,6 @@ class TestPerHypothesisFreezing:
                         extractor=_SynthExtractor(space_id), config=cfg)
         assert len(set(frame["n_rows_seen"])) == 1
 
-    def test_partition_min_rows_delays_freezing(self, synth_setup):
-        dataset, space_id, hyps, group = synth_setup
-        base = dict(mode="streaming", early_stop=True, error_threshold=0.1,
-                    block_size=4, shuffle=False)
-        eager = inspect(None, dataset, [CorrelationScore()], hyps,
-                        unit_groups=[group],
-                        extractor=_SynthExtractor(space_id),
-                        config=InspectConfig(**base))
-        floor = 10 * dataset.n_symbols
-        delayed = inspect(None, dataset, [CorrelationScore()], hyps,
-                          unit_groups=[group],
-                          extractor=_SynthExtractor(space_id),
-                          config=InspectConfig(partition_min_rows=floor,
-                                               **base))
-        fast_eager = eager.where(hyp_id="fast:space")["n_rows_seen"][0]
-        fast_delayed = delayed.where(hyp_id="fast:space")["n_rows_seen"][0]
-        assert fast_eager < floor <= fast_delayed
-
     def test_late_firing_hypothesis_is_not_frozen_at_zero(self, synth_setup):
         """A hypothesis with no contrast yet is vacuous, not converged:
         while any informative column keeps the task alive, the engine must

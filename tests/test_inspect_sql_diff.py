@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import InspectConfig, Session, UnitGroup, inspect
+from repro import InspectConfig, SerialScheduler, Session, UnitGroup, inspect
 from repro.db.expr import AmbiguousColumnError
 from repro.extract import RnnActivationExtractor
 from repro.hypotheses import KeywordHypothesis
@@ -437,7 +437,9 @@ class TestSharedExtraction:
                             scheduler="serial")
         ctx = make_session(snapshots, sql_workload, hyps, config=cfg)
         try:
-            assert ctx.effective_config().scheduler == "serial"
+            # the session resolves the pinned name to one instance
+            assert isinstance(ctx.effective_config().scheduler,
+                              SerialScheduler)
             ctx2 = make_session(snapshots, sql_workload, hyps,
                                 session_defaults=False)
             assert ctx2.effective_config() is ctx2.config

@@ -384,7 +384,7 @@ class TestDoubleBufferedExtraction:
         dataset = sql_workload.dataset
         sched = ThreadPoolScheduler(max_workers=2)
         try:
-            with Session(scheduler=sched) as session:
+            with Session(config=InspectConfig(scheduler=sched)) as session:
                 q = (session.inspect(trained_sql_model, dataset)
                      .using(CorrelationScore())
                      .hypotheses(self.HYPS)

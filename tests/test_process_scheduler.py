@@ -10,6 +10,7 @@ counters fold back so extraction-once assertions stay meaningful; and
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import os
 import pickle
@@ -38,10 +39,13 @@ def hyps():
     return sql_keyword_hypotheses(("SELECT", "FROM"))
 
 
-def make_session(model, workload, hyps, **kwargs) -> Session:
-    kwargs.setdefault("config",
-                      InspectConfig(mode="full", max_records=MAX_RECORDS))
-    session = Session(**kwargs)
+def make_session(model, workload, hyps, config=None, **fields) -> Session:
+    """A registered session; ``fields`` (store, scheduler...) override
+    ``config``'s."""
+    config = dataclasses.replace(
+        config or InspectConfig(mode="full", max_records=MAX_RECORDS),
+        **fields)
+    session = Session(config=config)
     session.register_model("m0", model)
     session.register_dataset("d0", workload.dataset)
     session.register_hypotheses(hyps, name="keywords")
@@ -275,7 +279,7 @@ class TestDefaultScheduler:
         if with_store:
             store = DiskBehaviorStore(tmp_path / "store")
             assert type(default_scheduler(store=store)) is SerialScheduler
-            with Session(store=store) as session:
+            with Session(config=InspectConfig(store=store)) as session:
                 assert type(session.scheduler) is SerialScheduler
 
     def test_single_core_picks_serial(self, monkeypatch, tmp_path):

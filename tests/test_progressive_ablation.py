@@ -3,88 +3,69 @@
 import numpy as np
 import pytest
 
-from repro import InspectConfig
-from repro.core.progressive import inspect_progressive
+from repro import InspectConfig, InspectionPlan, Session, all_units_group
+from repro.extract import RnnActivationExtractor
 from repro.hypotheses.library import sql_keyword_hypotheses
 from repro.measures import CorrelationScore
 from repro.util.rng import new_rng
 from repro.verify.ablation import ablate_units
 
 
+def build_plan(model, dataset, measure, hyps, config) -> InspectionPlan:
+    extractor = RnnActivationExtractor()
+    return InspectionPlan.build([all_units_group(model, extractor)],
+                                dataset, [measure], hyps, extractor, config)
+
+
 class TestProgressive:
+    """Progressive runs on the plan executor's per-block generator."""
+
     def test_yields_once_per_block(self, trained_sql_model, sql_workload):
         hyps = sql_keyword_hypotheses(("SELECT",))
         config = InspectConfig(mode="streaming", block_size=50,
                                early_stop=False, max_records=150)
-        updates = list(inspect_progressive(
-            trained_sql_model, sql_workload.dataset, CorrelationScore(),
-            hyps, config=config))
-        assert len(updates) == 3  # 150 records / 50 per block
-        assert updates[-1][0].records_processed == 150
+        plan = build_plan(trained_sql_model, sql_workload.dataset,
+                          CorrelationScore(), hyps, config)
+        assert len(list(plan.execute_blocks())) == 3  # 150 / 50 per block
+        assert plan.tasks[0].records_processed == 150
 
     def test_error_decreases_across_blocks(self, trained_sql_model,
                                            sql_workload):
         hyps = sql_keyword_hypotheses(("SELECT", "FROM"))
         config = InspectConfig(mode="streaming", block_size=40,
                                early_stop=False, max_records=160)
-        errors = [ups[0].error for ups in inspect_progressive(
-            trained_sql_model, sql_workload.dataset, CorrelationScore(),
-            hyps, config=config)]
+        plan = build_plan(trained_sql_model, sql_workload.dataset,
+                          CorrelationScore(), hyps, config)
+        errors = [plan.tasks[0].last_error for _ in plan.execute_blocks()]
         assert errors[-1] < errors[0]
 
     def test_stops_on_convergence(self, trained_sql_model, sql_workload):
         hyps = sql_keyword_hypotheses(("SELECT",))
         config = InspectConfig(mode="streaming", block_size=40,
                                early_stop=True, error_threshold=0.2)
-        updates = list(inspect_progressive(
-            trained_sql_model, sql_workload.dataset, CorrelationScore(),
-            hyps, config=config))
-        assert updates[-1][0].converged
-        processed = updates[-1][0].records_processed
-        assert processed < sql_workload.dataset.n_records
+        plan = build_plan(trained_sql_model, sql_workload.dataset,
+                          CorrelationScore(), hyps, config)
+        for _ in plan.execute_blocks():
+            pass
+        task = plan.tasks[0]
+        assert task.done
+        assert task.records_processed < sql_workload.dataset.n_records
 
     def test_early_break_is_clean(self, trained_sql_model, sql_workload):
-        """Abandoning the generator mid-stream must be safe."""
+        """Abandoning the stream mid-run must be safe."""
         hyps = sql_keyword_hypotheses(("SELECT",))
-        config = InspectConfig(mode="streaming", block_size=30,
-                               early_stop=False)
-        gen = inspect_progressive(trained_sql_model, sql_workload.dataset,
-                                  CorrelationScore(), hyps, config=config)
-        first = next(gen)
-        gen.close()
-        assert first[0].records_processed == 30
-        assert np.isfinite(first[0].result.unit_scores).all()
-
-    def test_converged_reported_without_early_stop(self, trained_sql_model,
-                                                   sql_workload):
-        """converged reflects the criterion even when early_stop is off."""
-        hyps = sql_keyword_hypotheses(("SELECT",))
-        config = InspectConfig(mode="streaming", block_size=40,
-                               early_stop=False, error_threshold=0.2)
-        updates = list(inspect_progressive(
-            trained_sql_model, sql_workload.dataset, CorrelationScore(),
-            hyps, config=config))
-        # processing ran to the end (no early stop)...
-        assert updates[-1][0].records_processed == \
-            sql_workload.dataset.n_records
-        # ...but the caller was told once the error bound was met
-        assert updates[-1][0].converged
-
-    def test_done_tasks_drop_out_of_later_updates(self, trained_sql_model,
-                                                  sql_workload):
-        """A task converged on an earlier block stops appearing (seed
-        semantics): corr converges fast, logreg keeps streaming."""
-        from repro.measures import LogRegressionScore
-        hyps = sql_keyword_hypotheses(("SELECT",))
-        config = InspectConfig(mode="streaming", block_size=40,
-                               early_stop=True, error_threshold=0.5,
-                               max_records=160)
-        sizes = [len(ups) for ups in inspect_progressive(
-            trained_sql_model, sql_workload.dataset,
-            [CorrelationScore(), LogRegressionScore(epochs=1, cv_folds=2)],
-            hyps, config=config)]
-        assert sizes[0] == 2
-        assert sizes[-1] == 1  # corr finished earlier and dropped out
+        with Session() as session:
+            stream = (session.inspect(trained_sql_model,
+                                      sql_workload.dataset)
+                      .using(CorrelationScore()).hypotheses(hyps)
+                      .with_config(mode="streaming", block_size=30,
+                                   early_stop=False)
+                      .stream())
+            first = next(stream)
+            stream.close()
+            assert session.stats()["queries"]["streams_abandoned"] == 1
+        assert first.records_processed == 30
+        assert np.isfinite(first.column("val", dtype=float)).all()
 
     def test_final_scores_match_batch_inspection(self, trained_sql_model,
                                                  sql_workload):
@@ -92,17 +73,16 @@ class TestProgressive:
         hyps = sql_keyword_hypotheses(("SELECT",))
         config = InspectConfig(mode="streaming", block_size=64,
                                early_stop=False, seed=3)
-        last = None
-        for updates in inspect_progressive(
-                trained_sql_model, sql_workload.dataset,
-                CorrelationScore(), hyps, config=config):
-            last = updates[0]
+        plan = build_plan(trained_sql_model, sql_workload.dataset,
+                          CorrelationScore(), hyps, config)
+        for _ in plan.execute_blocks():
+            pass
         batch_cfg = InspectConfig(mode="streaming", block_size=64,
                                   early_stop=False, seed=3)
         out = inspect([trained_sql_model], sql_workload.dataset,
                       [CorrelationScore()], hyps, config=batch_cfg,
                       as_frame=False)
-        assert np.allclose(last.result.unit_scores,
+        assert np.allclose(plan.outcomes()[0].result.unit_scores,
                            out[0].result.unit_scores, atol=1e-12)
 
 

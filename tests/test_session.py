@@ -9,6 +9,8 @@ partial frames whose final snapshot is bit-identical to a one-shot
 
 from __future__ import annotations
 
+import dataclasses
+import os
 import threading
 
 import numpy as np
@@ -40,9 +42,12 @@ def hyps():
     return sql_keyword_hypotheses(("SELECT", "FROM"))
 
 
+def full_config(**fields) -> InspectConfig:
+    return InspectConfig(mode="full", max_records=MAX_RECORDS, **fields)
+
+
 def make_session(model, workload, hyps, **kwargs) -> Session:
-    kwargs.setdefault("config",
-                      InspectConfig(mode="full", max_records=MAX_RECORDS))
+    kwargs.setdefault("config", full_config())
     session = Session(**kwargs)
     session.register_model("m0", model)
     session.register_dataset("d0", workload.dataset)
@@ -187,6 +192,87 @@ class TestSharedResources:
 
 
 # ----------------------------------------------------------------------
+# routing: every way resources reach a session ends on its config
+# ----------------------------------------------------------------------
+def route_kwargs(route: str, tmp_path) -> dict:
+    """Session arguments for one way of handing it resources."""
+    if route == "default":
+        return {}
+    if route == "store_path":
+        return {"store_path": tmp_path / "store"}
+    if route == "config_store":
+        store = DiskBehaviorStore(tmp_path / "store")
+        return {"config": full_config(store=store)}
+    if route == "pinned_caches":
+        return {"config": full_config(cache=HypothesisCache(),
+                                      unit_cache=UnitBehaviorCache())}
+    assert route == "threads"
+    return {"config": full_config(scheduler="threads")}
+
+
+def surface_frame(session: Session, surface: str, hyps):
+    """One query through a surface; the frame it answers with."""
+    if surface == "run":
+        return (session.inspect("m0", "d0").using("corr")
+                .hypotheses(hyps).run())
+    if surface == "sql":
+        return session.sql(INSPECT_SQL)
+    assert surface == "stream_sql"
+    return list(session.stream_sql(INSPECT_SQL))[-1]
+
+
+class TestResourceRouting:
+    @pytest.mark.parametrize("surface", ["run", "sql", "stream_sql"])
+    @pytest.mark.parametrize("route", ["default", "store_path",
+                                       "config_store", "pinned_caches",
+                                       "threads"])
+    def test_resources_route_through_the_config(
+            self, monkeypatch, tmp_path, trained_sql_model, sql_workload,
+            hyps, route, surface):
+        """However the store, caches or scheduler reach a session, every
+        surface answers like the cache-less reference, stats() reports the
+        counters the runs moved, and three queries build at most one
+        pool — the session's own."""
+        with make_session(trained_sql_model, sql_workload, hyps,
+                          session_defaults=False) as ref:
+            expected = surface_frame(ref, "run" if surface == "run"
+                                     else "sql", hyps)
+        built = []
+        init = ThreadPoolScheduler.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ThreadPoolScheduler, "__init__", counting_init)
+        counting = CountingForwardModel(trained_sql_model)
+        kwargs = route_kwargs(route, tmp_path)
+        with make_session(counting, sql_workload, hyps, **kwargs) as session:
+            for _ in range(3):
+                assert surface_frame(session, surface, hyps) == expected
+                if session.store is not None:
+                    # the cold statement commits once, warm ones never
+                    assert session.store.stats()["commits"] == 1
+            stats = session.stats()
+            assert stats["unit_cache"]["extractions"] == \
+                counting.forward_calls == 1
+            assert stats["hypothesis_cache"]["extractions"] == len(hyps)
+            session.reset_counters()
+            zeroed = session.stats()
+            assert zeroed["unit_cache"]["extractions"] == 0
+            assert zeroed["unit_cache"]["hits"] == 0
+            assert zeroed["hypothesis_cache"]["extractions"] == 0
+            if route == "pinned_caches":
+                assert session.unit_cache is kwargs["config"].unit_cache
+                assert session.hyp_cache is kwargs["config"].cache
+        # three queries, at most one pool: the session's own
+        owned = [session.scheduler] if isinstance(
+            session.scheduler, ThreadPoolScheduler) else []
+        assert built == owned
+        assert owned or route != "threads"
+
+
+# ----------------------------------------------------------------------
 # progressive results
 # ----------------------------------------------------------------------
 class TestStream:
@@ -251,7 +337,7 @@ class TestLifecycle:
         before = set(threading.enumerate())
         scheduler = ThreadPoolScheduler(max_workers=2)
         session = make_session(trained_sql_model, sql_workload, hyps,
-                               scheduler=scheduler)
+                               config=full_config(scheduler=scheduler))
         (session.inspect("m0", "d0").using("corr").hypotheses(hyps).run())
         session.close()
         assert scheduler._pool is None
@@ -291,7 +377,7 @@ class TestLifecycle:
                                                 sql_workload, hyps):
         store = DiskBehaviorStore(tmp_path / "store")
         with make_session(trained_sql_model, sql_workload, hyps,
-                          store=store) as session:
+                          config=full_config(store=store)) as session:
             (session.inspect("m0", "d0").using("corr")
              .hypotheses(hyps).run())
             # cold run: every append lands in ONE deferred manifest commit
@@ -305,9 +391,10 @@ class TestLifecycle:
                                        sql_workload, hyps):
         store = DiskBehaviorStore(tmp_path / "store")
         config = InspectConfig(mode="streaming", block_size=20,
-                               early_stop=False, max_records=MAX_RECORDS)
+                               early_stop=False, max_records=MAX_RECORDS,
+                               store=store)
         with make_session(trained_sql_model, sql_workload, hyps,
-                          store=store, config=config) as session:
+                          config=config) as session:
             partials = list(session.inspect("m0", "d0").using("corr")
                             .hypotheses(hyps).stream())
             assert len(partials) == 3
@@ -331,65 +418,69 @@ class TestLifecycle:
             assert warm_session.unit_cache.stats()["extractions"] == 0
         assert warm == cold
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                        reason="needs /proc/self/maps")
+    def test_close_unmaps_store_shards(self, tmp_path, trained_sql_model,
+                                       sql_workload, hyps):
+        """close() releases the store's shard maps, not only its commits."""
+        path = tmp_path / "store"
+
+        def mapped_shards() -> list[str]:
+            with open("/proc/self/maps", encoding="utf-8") as maps:
+                return [line for line in maps if str(path) in line]
+
+        for _ in range(2):  # cold (writes), then warm (reads through mmap)
+            with make_session(trained_sql_model, sql_workload, hyps,
+                              store_path=path) as session:
+                (session.inspect("m0", "d0").using("corr")
+                 .hypotheses(hyps).run())
+        assert session.stats()["unit_cache"]["disk_hits"] > 0
+        assert not mapped_shards()
+
     def test_conflicting_store_settings_raise(self, tmp_path):
-        s1 = DiskBehaviorStore(tmp_path / "a")
-        s2 = DiskBehaviorStore(tmp_path / "b")
+        store = DiskBehaviorStore(tmp_path / "b")
         with pytest.raises(ValueError, match="conflicting store"):
-            Session(store=s1, config=InspectConfig(store=s2))
+            Session(str(tmp_path / "a"), config=InspectConfig(store=store))
 
     def test_resources_rejected_without_session_defaults(self, tmp_path):
         """session_defaults=False runs with config exactly as given, so a
-        store or scheduler passed beside it would be silently dropped."""
+        store path passed beside it would be silently dropped."""
         with pytest.raises(ValueError, match="config="):
-            Session(str(tmp_path / "store"), scheduler="threads",
-                    session_defaults=False)
-        for kwargs in ({"store": DiskBehaviorStore(tmp_path / "s")},
-                       {"scheduler": "serial"}, {"sweep_gate": object()}):
-            with pytest.raises(ValueError, match="config="):
-                Session(session_defaults=False, **kwargs)
+            Session(str(tmp_path / "store"), session_defaults=False)
         # through config= the same resources are honoured
         store = DiskBehaviorStore(tmp_path / "c")
         with Session(config=InspectConfig(store=store, scheduler="serial"),
                      session_defaults=False) as session:
             assert session.effective_config().store is store
+            assert session.scheduler == "serial"
 
 
 # ----------------------------------------------------------------------
-# config idempotency / validation (satellite)
+# one config carries the run's resources
 # ----------------------------------------------------------------------
 class TestConfigIdempotency:
-    def test_with_store_tiers_memoizes_derived_caches(self, tmp_path):
+    def test_store_tiers_built_by_config_survive_replace(self, tmp_path):
         store = DiskBehaviorStore(tmp_path / "store")
         config = InspectConfig(store=store)
-        first = config.with_store_tiers()
-        second = config.with_store_tiers()
-        assert first.cache is second.cache
-        assert first.unit_cache is second.unit_cache
-        assert first.cache.store is store
-        # fully-tiered configs pass through untouched
-        assert first.with_store_tiers() is first
-
-    def test_with_session_defaults_is_idempotent(self):
-        hyp_cache, unit_cache = HypothesisCache(), UnitBehaviorCache()
-        config = InspectConfig()
-        filled = config.with_session_defaults(cache=hyp_cache,
-                                              unit_cache=unit_cache,
-                                              scheduler="serial")
-        other = filled.with_session_defaults(cache=HypothesisCache(),
-                                             unit_cache=UnitBehaviorCache(),
-                                             scheduler="threads")
-        assert other is filled  # everything already pinned: no copy
-        assert other.cache is hyp_cache
-        assert other.unit_cache is unit_cache
-        assert other.scheduler == "serial"
+        assert config.cache.store is store
+        assert config.unit_cache.store is store
+        # replace() copies share the tiers instead of stacking new ones
+        copy = dataclasses.replace(config, mode="full")
+        assert copy.cache is config.cache
+        assert copy.unit_cache is config.unit_cache
+        # a pinned tier is kept; only the missing one is built
+        mine = HypothesisCache()
+        pinned = InspectConfig(store=store, cache=mine)
+        assert pinned.cache is mine and pinned.unit_cache.store is store
 
     def test_pinned_fields_survive_session_defaults(self):
         mine = HypothesisCache()
-        config = InspectConfig(cache=mine)
-        filled = config.with_session_defaults(cache=HypothesisCache(),
-                                              scheduler="threads")
-        assert filled.cache is mine
-        assert filled.scheduler == "threads"
+        with Session(config=InspectConfig(cache=mine,
+                                          scheduler="threads")) as session:
+            assert session.hyp_cache is mine
+            assert isinstance(session.unit_cache, UnitBehaviorCache)
+            assert isinstance(session.scheduler, ThreadPoolScheduler)
+            assert session.effective_config() is session.config
 
     def test_conflicting_cache_store_raises(self, tmp_path):
         s1 = DiskBehaviorStore(tmp_path / "a")
